@@ -12,9 +12,9 @@
 //!   reports are byte-identical across sweep workers.
 
 use crate::history::History;
-use crate::linearizability::{self, LinResult, RegOp, RegOpKind, PENDING};
+use crate::linearizability::{self, prune_unread_writes, LinResult, RegOp, RegOpKind, PENDING};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use vi_traffic::{AppKind, AuditRecord, OpDesc, OpOutcome, TrafficEvent};
 
 /// A checker's verdict.
@@ -164,7 +164,7 @@ pub fn audit(history: &History) -> AuditReport {
 fn outcome_matches(op: &OpDesc, outcome: &OpOutcome) -> bool {
     matches!(
         (op, outcome),
-        (OpDesc::Write { .. }, OpOutcome::Acked)
+        (OpDesc::Write { .. }, OpOutcome::Acked { .. })
             | (OpDesc::Read, OpOutcome::ReadValue { .. })
             | (OpDesc::Acquire, OpOutcome::Granted)
             | (OpDesc::Report { .. }, OpOutcome::Reported)
@@ -252,15 +252,89 @@ pub fn check_well_formed(history: &History) -> CheckResult {
     }
 }
 
-/// Extracts the register operations a WGL check runs over: acked and
-/// pending writes, plus returned reads (timed-out reads constrain
-/// nothing and are dropped).
-pub fn register_ops(history: &History) -> Vec<RegOp> {
-    let completes: BTreeMap<u64, (u64, OpOutcome)> = history
+/// `id → (response round, outcome)` of every completed op.
+fn completions(history: &History) -> BTreeMap<u64, (u64, OpOutcome)> {
+    history
         .completes()
         .into_iter()
         .map(|(id, _, vr, outcome)| (id, (vr, outcome)))
-        .collect();
+        .collect()
+}
+
+/// The register operations of `history`, one sub-history per virtual
+/// node (`vn → ops`, each in invocation order). Every virtual node
+/// runs its own `RegisterVn`, so each is a separate atomic object, and
+/// linearizability is local (Herlihy & Wing 1990): the history is
+/// linearizable iff every object's sub-history is. The grouping:
+///
+/// * a completed op goes to the virtual node that served it, the
+///   sender of the `Ack` or `Value` that completed it;
+/// * a write whose value a read at another virtual node returned also
+///   joins that node's sub-history, as a pending (optional) op with
+///   the same invocation: a client between two regions, or one on the
+///   move, can reach both nodes, but only the first reply it heard
+///   names one;
+/// * a timed-out write goes to every virtual node whose reads
+///   returned its value, and nowhere else.
+///
+/// Timed-out reads constrain nothing and are dropped.
+pub fn register_ops(history: &History) -> BTreeMap<usize, Vec<RegOp>> {
+    let completes = completions(history);
+    let mut readers: BTreeMap<u64, BTreeSet<usize>> = BTreeMap::new();
+    for &(_, outcome) in completes.values() {
+        if let OpOutcome::ReadValue { value, vn, .. } = outcome {
+            readers.entry(value).or_default().insert(vn);
+        }
+    }
+    let mut by_vn: BTreeMap<usize, Vec<RegOp>> = BTreeMap::new();
+    for (id, _, inv, op) in history.invokes() {
+        match op {
+            OpDesc::Write { value } => {
+                let kind = RegOpKind::Write { value };
+                let served = match completes.get(&id) {
+                    Some(&(ret, OpOutcome::Acked { vn })) => {
+                        by_vn
+                            .entry(vn)
+                            .or_default()
+                            .push(RegOp { id, kind, inv, ret });
+                        Some(vn)
+                    }
+                    _ => None,
+                };
+                for &vn in readers.get(&value).into_iter().flatten() {
+                    if served != Some(vn) {
+                        by_vn.entry(vn).or_default().push(RegOp {
+                            id,
+                            kind,
+                            inv,
+                            ret: PENDING,
+                        });
+                    }
+                }
+            }
+            OpDesc::Read => {
+                if let Some(&(ret, OpOutcome::ReadValue { value, vn, .. })) = completes.get(&id) {
+                    by_vn.entry(vn).or_default().push(RegOp {
+                        id,
+                        kind: RegOpKind::Read { returned: value },
+                        inv,
+                        ret,
+                    });
+                }
+            }
+            _ => {}
+        }
+    }
+    by_vn
+}
+
+/// The register operations of `history` as *one* object, ignoring
+/// which virtual node served them: acked and pending writes, plus
+/// returned reads. This is the wrong object model for a multi-VN
+/// register deployment (see [`register_ops`]); it stays as the
+/// reference the per-VN split is tested against.
+pub fn merged_register_ops(history: &History) -> Vec<RegOp> {
+    let completes = completions(history);
     let mut ops = Vec::new();
     for (id, _, inv, op) in history.invokes() {
         match op {
@@ -302,30 +376,56 @@ fn witness_op_ids(witness: &[String]) -> Vec<u64> {
         .collect()
 }
 
-/// Runs the WGL search over `ops` and wraps the verdict.
-fn linearizable_result(ops: &[RegOp]) -> CheckResult {
-    let checked = ops.len() as u64;
-    match linearizability::check_register(ops) {
+/// Runs the WGL search over `ops`, minus the `:info` writes no read
+/// observed ([`prune_unread_writes`]; pruning keeps both the verdict
+/// and the minimized witness).
+fn search(ops: &[RegOp]) -> LinResult {
+    linearizability::check_register(&prune_unread_writes(ops))
+}
+
+/// Wraps a search result as the `linearizable` check over `checked`
+/// ops; `scope` prefixes the witness (e.g. `vn 3: `).
+fn linearizable_result(checked: u64, result: LinResult, scope: &str) -> CheckResult {
+    match result {
         LinResult::Ok => CheckResult::pass("linearizable", checked),
         LinResult::Violation { witness } => {
             let ids = witness_op_ids(&witness);
-            CheckResult::violation_with_ops("linearizable", checked, witness.join("; "), ids)
+            let witness = format!("{scope}{}", witness.join("; "));
+            CheckResult::violation_with_ops("linearizable", checked, witness, ids)
         }
         LinResult::BudgetExhausted => CheckResult::inconclusive(
             "linearizable",
             checked,
-            "search budget exhausted before a verdict".into(),
+            format!("{scope}search budget exhausted before a verdict"),
         ),
     }
 }
 
-/// The atomic-register checker: WGL search for a legal linearization.
+/// The atomic-register checker: a WGL search per virtual node's
+/// sub-history (see [`register_ops`]). The verdict is the worst over
+/// the virtual nodes (a violation, else an inconclusive search, else
+/// a pass), and the witness names its node (`vn 3: ...`). `checked`
+/// counts the history's register ops once each.
 pub fn check_register_linearizable(history: &History) -> CheckResult {
-    linearizable_result(&register_ops(history))
+    let checked = merged_register_ops(history).len() as u64;
+    let mut inconclusive = None;
+    for (vn, ops) in register_ops(history) {
+        match search(&ops) {
+            LinResult::Ok => {}
+            LinResult::BudgetExhausted => {
+                inconclusive.get_or_insert(vn);
+            }
+            violation => return linearizable_result(checked, violation, &format!("vn {vn}: ")),
+        }
+    }
+    match inconclusive {
+        None => CheckResult::pass("linearizable", checked),
+        Some(vn) => linearizable_result(checked, LinResult::BudgetExhausted, &format!("vn {vn}: ")),
+    }
 }
 
-/// Audits a bag of pre-extracted register operations directly —
-/// the entry point for workloads (like the stale-read
+/// Audits a bag of pre-extracted register operations directly, as one
+/// object — the entry point for workloads (like the stale-read
 /// `MajorityRegister` baseline) that produce [`RegOp`]s without going
 /// through the traffic driver's event history.
 pub fn audit_register_ops(app: &str, ops: &[RegOp]) -> AuditReport {
@@ -334,7 +434,7 @@ pub fn audit_register_ops(app: &str, ops: &[RegOp]) -> AuditReport {
         app: app.to_string(),
         ops: ops.len() as u64,
         timeouts: pending,
-        checks: vec![linearizable_result(ops)],
+        checks: vec![linearizable_result(ops.len() as u64, search(ops), "")],
     }
 }
 
@@ -500,11 +600,7 @@ pub fn check_monotone_freshness(history: &History) -> CheckResult {
     // Candidate reports per object: completed (cell, send round) and
     // timed-out (cell, invocation round — the broadcast, if it ever
     // happened, came no earlier) reports, in round order.
-    let completes: BTreeMap<u64, (u64, OpOutcome)> = history
-        .completes()
-        .into_iter()
-        .map(|(id, _, vr, outcome)| (id, (vr, outcome)))
-        .collect();
+    let completes = completions(history);
     let mut reports: BTreeMap<u32, ReportSeq> = BTreeMap::new();
     for (id, _, inv, op) in history.invokes() {
         if let OpDesc::Report { object, cell } = op {
@@ -675,13 +771,42 @@ mod tests {
         Event::Protocol { record }
     }
 
+    /// A write of value `id` by `client`, acked by `vn`.
+    fn write(id: u64, client: u32, inv_vr: u64, ret_vr: u64, vn: usize) -> [Event; 2] {
+        [
+            inv(id, client, inv_vr, OpDesc::Write { value: id }),
+            done(id, client, ret_vr, OpOutcome::Acked { vn }),
+        ]
+    }
+
+    /// A read by `client` that `vn` answered with `value`.
+    fn read(id: u64, client: u32, inv_vr: u64, ret_vr: u64, value: u64, vn: usize) -> [Event; 2] {
+        [
+            inv(id, client, inv_vr, OpDesc::Read),
+            done(
+                id,
+                client,
+                ret_vr,
+                OpOutcome::ReadValue {
+                    tag: value,
+                    value,
+                    vn,
+                },
+            ),
+        ]
+    }
+
+    fn register(ops: &[[Event; 2]]) -> History {
+        h(AppKind::Register, ops.iter().flatten().copied().collect())
+    }
+
     #[test]
     fn well_formed_accepts_clean_and_rejects_orphans() {
         let good = h(
             AppKind::Register,
             vec![
                 inv(1, 0, 1, OpDesc::Write { value: 1 }),
-                done(1, 0, 3, OpOutcome::Acked),
+                done(1, 0, 3, OpOutcome::Acked { vn: 0 }),
                 inv(2, 1, 4, OpDesc::Read),
                 Event::Timeout {
                     id: 2,
@@ -691,7 +816,10 @@ mod tests {
             ],
         );
         assert!(check_well_formed(&good).ok());
-        let orphan = h(AppKind::Register, vec![done(9, 0, 3, OpOutcome::Acked)]);
+        let orphan = h(
+            AppKind::Register,
+            vec![done(9, 0, 3, OpOutcome::Acked { vn: 0 })],
+        );
         let res = check_well_formed(&orphan);
         assert!(!res.ok());
         assert!(res.witness.unwrap().contains("without invocation"));
@@ -703,7 +831,16 @@ mod tests {
             AppKind::Register,
             vec![
                 inv(1, 0, 1, OpDesc::Write { value: 1 }),
-                done(1, 0, 3, OpOutcome::ReadValue { tag: 1, value: 1 }),
+                done(
+                    1,
+                    0,
+                    3,
+                    OpOutcome::ReadValue {
+                        tag: 1,
+                        value: 1,
+                        vn: 0,
+                    },
+                ),
             ],
         );
         assert!(!check_well_formed(&bad).ok());
@@ -711,25 +848,9 @@ mod tests {
 
     #[test]
     fn register_audit_passes_clean_and_fails_stale() {
-        let clean = h(
-            AppKind::Register,
-            vec![
-                inv(1, 0, 1, OpDesc::Write { value: 1 }),
-                done(1, 0, 3, OpOutcome::Acked),
-                inv(2, 1, 4, OpDesc::Read),
-                done(2, 1, 6, OpOutcome::ReadValue { tag: 1, value: 1 }),
-            ],
-        );
+        let clean = register(&[write(1, 0, 1, 3, 0), read(2, 1, 4, 6, 1, 0)]);
         assert!(audit(&clean).ok(), "{:?}", audit(&clean));
-        let stale = h(
-            AppKind::Register,
-            vec![
-                inv(1, 0, 1, OpDesc::Write { value: 1 }),
-                done(1, 0, 3, OpOutcome::Acked),
-                inv(2, 1, 4, OpDesc::Read),
-                done(2, 1, 6, OpOutcome::ReadValue { tag: 0, value: 0 }),
-            ],
-        );
+        let stale = register(&[write(1, 0, 1, 3, 0), read(2, 1, 4, 6, 0, 0)]);
         let report = audit(&stale);
         assert!(!report.ok());
         let bad = &report.violations()[0];
@@ -974,12 +1095,113 @@ mod tests {
     }
 
     #[test]
+    fn stale_read_inside_one_vn_names_that_vn() {
+        // VN 0 is clean; at VN 1 a read after W(2)'s ack returns 0.
+        let hist = register(&[
+            write(1, 0, 1, 3, 0),
+            read(3, 0, 4, 6, 1, 0),
+            write(2, 1, 1, 3, 1),
+            read(4, 1, 5, 7, 0, 1),
+        ]);
+        let res = check_register_linearizable(&hist);
+        assert_eq!(res.verdict, Verdict::Violation);
+        let witness = res.witness.as_deref().unwrap();
+        assert!(witness.starts_with("vn 1: "), "{witness}");
+        assert!(witness.contains("R→0"), "{witness}");
+        assert_eq!(res.witness_ops, vec![2, 4]);
+        assert_eq!(res.checked, 4);
+    }
+
+    #[test]
+    fn independent_vns_are_separate_registers() {
+        // The false positive of the single-object model: W(1) acked by
+        // VN 0, then a read at VN 1, which never saw it, returns 0.
+        let hist = register(&[write(1, 0, 1, 7, 0), read(8, 1, 8, 10, 0, 1)]);
+        assert!(check_register_linearizable(&hist).ok());
+        let merged = linearizability::check_register(&merged_register_ops(&hist));
+        assert!(
+            matches!(&merged, LinResult::Violation { witness } if witness.join("; ") == "#1 W(1) [1, 7]; #8 R→0 [8, 10]"),
+            "{merged:?}"
+        );
+    }
+
+    #[test]
+    fn a_write_read_at_another_vn_joins_it_as_pending() {
+        // W(1) is acked by VN 1, but VN 0 heard it too: a read at VN 0
+        // returns it, explained by W(1)'s pending copy at VN 0.
+        let hist = register(&[write(1, 0, 1, 3, 1), read(2, 1, 5, 6, 1, 0)]);
+        let by_vn = register_ops(&hist);
+        assert_eq!(by_vn.len(), 2);
+        assert_eq!(
+            by_vn[&0][0],
+            RegOp {
+                id: 1,
+                kind: RegOpKind::Write { value: 1 },
+                inv: 1,
+                ret: PENDING,
+            }
+        );
+        assert_eq!(by_vn[&1][0].ret, 3);
+        assert!(check_register_linearizable(&hist).ok());
+        // The copy is optional, not a completed write: a read at VN 0
+        // after W(1)'s ack may still return the initial value there.
+        let hist = register(&[
+            write(1, 0, 1, 3, 1),
+            read(2, 1, 5, 6, 0, 0),
+            read(3, 1, 7, 8, 1, 0),
+        ]);
+        assert!(check_register_linearizable(&hist).ok());
+        // But once VN 0 returned it, VN 0 cannot go back.
+        let hist = register(&[
+            write(1, 0, 1, 3, 1),
+            read(2, 1, 5, 6, 1, 0),
+            read(3, 1, 7, 8, 0, 0),
+        ]);
+        let res = check_register_linearizable(&hist);
+        assert_eq!(res.verdict, Verdict::Violation);
+        assert!(res.witness.unwrap().starts_with("vn 0: "));
+    }
+
+    #[test]
+    fn timed_out_writes_go_where_they_were_read() {
+        let mut events: Vec<Event> = vec![
+            inv(1, 0, 1, OpDesc::Write { value: 1 }),
+            Event::Timeout {
+                id: 1,
+                client: 0,
+                vr: 30,
+            },
+            inv(2, 0, 1, OpDesc::Write { value: 2 }),
+            Event::Timeout {
+                id: 2,
+                client: 0,
+                vr: 30,
+            },
+        ];
+        events.extend(read(3, 1, 5, 6, 1, 2));
+        let by_vn = register_ops(&h(AppKind::Register, events));
+        // W(1) joins only VN 2, whose read returned it; the unread W(2)
+        // joins no sub-history.
+        assert_eq!(by_vn.keys().copied().collect::<Vec<_>>(), vec![2]);
+        assert_eq!(by_vn[&2].len(), 2);
+        assert_eq!(by_vn[&2][0].ret, PENDING);
+    }
+
+    #[test]
+    fn read_of_a_never_written_value_fails() {
+        let hist = register(&[write(1, 0, 1, 3, 0), read(2, 1, 4, 6, 99, 1)]);
+        let res = check_register_linearizable(&hist);
+        assert_eq!(res.verdict, Verdict::Violation);
+        assert!(res.witness.unwrap().starts_with("vn 1: #2 R→99"));
+    }
+
+    #[test]
     fn report_round_trips_through_json() {
         let report = audit(&h(
             AppKind::Register,
             vec![
                 inv(1, 0, 1, OpDesc::Write { value: 1 }),
-                done(1, 0, 3, OpOutcome::Acked),
+                done(1, 0, 3, OpOutcome::Acked { vn: 0 }),
             ],
         ));
         let json = serde_json::to_string(&report).unwrap();

@@ -171,7 +171,7 @@ mod tests {
                     id: 1,
                     client: 0,
                     vr: 3,
-                    outcome: OpOutcome::Acked,
+                    outcome: OpOutcome::Acked { vn: 0 },
                 },
                 Event::Timeout {
                     id: 2,

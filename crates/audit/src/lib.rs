@@ -18,8 +18,10 @@
 //!   deterministic driver order.
 //! * The **checkers** (module [`check`]) — per-app oracles over a
 //!   history: a memoized Wing–Gong/WGL linearizability search for the
-//!   register (module [`linearizability`], with minimized
-//!   counterexample witnesses), mutual exclusion + FIFO-grant
+//!   register, run on each virtual node's sub-history alone (module
+//!   [`linearizability`], with minimized counterexample witnesses;
+//!   every virtual node is its own register, and linearizability is
+//!   local), mutual exclusion + FIFO-grant
 //!   discipline for the mutex, monotone freshness for tracking
 //!   lookups, and delivery/no-duplication for georouting. [`audit`]
 //!   runs everything an app answers to and returns an
@@ -40,10 +42,13 @@ pub mod mutate;
 pub mod nemesis;
 
 pub use check::{
-    audit, audit_register_ops, check_register_linearizable, AuditReport, CheckResult, Verdict,
+    audit, audit_register_ops, check_register_linearizable, merged_register_ops, register_ops,
+    AuditReport, CheckResult, Verdict,
 };
 pub use history::{Event, History, HistoryRecorder};
-pub use linearizability::{check_register, synthetic_history, LinResult, RegOp, RegOpKind};
+pub use linearizability::{
+    check_register, prune_unread_writes, synthetic_history, LinResult, RegOp, RegOpKind,
+};
 pub use mutate::{drop_response, mutate, pick, Mutation};
 pub use nemesis::{NemesisFault, NemesisSpec};
 

@@ -133,11 +133,15 @@ fn forge(out: &mut History, rng: &mut StdRng) -> Option<()> {
             let victim = targets[pick(rng, targets.len())?];
             if let Event::Complete { outcome, .. } = &mut out.events[victim] {
                 // No write ever stores u64::MAX (values are request
-                // ids), so this read can never linearize.
-                *outcome = OpOutcome::ReadValue {
-                    tag: u64::MAX,
-                    value: u64::MAX,
-                };
+                // ids), so this read can never linearize at the
+                // virtual node that served it.
+                if let OpOutcome::ReadValue { vn, .. } = *outcome {
+                    *outcome = OpOutcome::ReadValue {
+                        tag: u64::MAX,
+                        value: u64::MAX,
+                        vn,
+                    };
+                }
             }
         }
         AppKind::Mutex => {
@@ -238,7 +242,7 @@ mod tests {
                     id: 1,
                     client: 0,
                     vr: 3,
-                    outcome: OpOutcome::Acked,
+                    outcome: OpOutcome::Acked { vn: 0 },
                 },
                 Event::Invoke {
                     id: 2,
@@ -250,7 +254,11 @@ mod tests {
                     id: 2,
                     client: 1,
                     vr: 6,
-                    outcome: OpOutcome::ReadValue { tag: 1, value: 1 },
+                    outcome: OpOutcome::ReadValue {
+                        tag: 1,
+                        value: 1,
+                        vn: 0,
+                    },
                 },
             ],
         )

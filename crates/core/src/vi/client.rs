@@ -11,6 +11,7 @@
 //! simulated collision, preserving the virtual collision detector's
 //! completeness (Section 3.3).
 
+use crate::vi::automaton::VnId;
 use std::any::Any;
 use vi_radio::geometry::Point;
 
@@ -20,6 +21,12 @@ pub struct VirtualReception<A> {
     /// Messages received (from clients and virtual nodes), in arrival
     /// order within the round.
     pub messages: Vec<A>,
+    /// The sender of each message, index-aligned with `messages`
+    /// (kept so by [`VirtualReception::push`]): `Some(vn)` for virtual
+    /// node `vn`'s broadcast, `None` for a client's. A client between
+    /// two regions can hear either virtual node, so this — not the
+    /// client's position — says which one answered.
+    senders: Vec<Option<VnId>>,
     /// Virtual collision indication: a physical collision during the
     /// message sub-protocol, or a co-located replica reporting an
     /// undecided round.
@@ -30,6 +37,7 @@ impl<A> Default for VirtualReception<A> {
     fn default() -> Self {
         VirtualReception {
             messages: Vec::new(),
+            senders: Vec::new(),
             collision: false,
         }
     }
@@ -39,6 +47,24 @@ impl<A> VirtualReception<A> {
     /// `true` if nothing was received and no collision indicated.
     pub fn is_silent(&self) -> bool {
         self.messages.is_empty() && !self.collision
+    }
+
+    /// Appends a message heard from `sender` (`None` = a client).
+    pub fn push(&mut self, sender: Option<VnId>, message: A) {
+        self.messages.push(message);
+        self.senders.push(sender);
+    }
+
+    /// The messages with their senders, in arrival order.
+    pub fn with_senders(&self) -> impl Iterator<Item = (Option<VnId>, &A)> {
+        self.senders.iter().copied().zip(&self.messages)
+    }
+
+    /// Empties the reception, keeping its buffers.
+    pub fn clear(&mut self) {
+        self.messages.clear();
+        self.senders.clear();
+        self.collision = false;
     }
 }
 
@@ -119,17 +145,19 @@ mod tests {
     #[test]
     fn collector_records_in_order() {
         let mut c = CollectorClient::<u64>::default();
-        let r1 = VirtualReception {
-            messages: vec![1],
-            collision: false,
-        };
+        let mut r1 = VirtualReception::default();
+        r1.push(Some(VnId(2)), 1);
         let r2 = VirtualReception {
-            messages: vec![],
             collision: true,
+            ..VirtualReception::default()
         };
         assert_eq!(c.on_virtual_round(1, Point::ORIGIN, &r1), None);
         assert_eq!(c.on_virtual_round(2, Point::ORIGIN, &r2), None);
         assert_eq!(c.log, vec![r1, r2]);
+        assert_eq!(
+            c.log[0].with_senders().collect::<Vec<_>>(),
+            vec![(Some(VnId(2)), &1)]
+        );
     }
 
     #[test]
@@ -148,11 +176,14 @@ mod tests {
     #[test]
     fn silence_detection() {
         assert!(VirtualReception::<u64>::default().is_silent());
-        assert!(!VirtualReception::<u64> {
-            messages: vec![],
-            collision: true
-        }
-        .is_silent());
+        let mut r = VirtualReception::<u64> {
+            collision: true,
+            ..VirtualReception::default()
+        };
+        assert!(!r.is_silent());
+        r.push(None, 7);
+        r.clear();
+        assert!(r.is_silent() && r.senders.is_empty());
     }
 
     #[test]

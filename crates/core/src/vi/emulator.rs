@@ -252,13 +252,19 @@ pub struct Device<VA: VirtualAutomaton> {
     /// Reports of emulations this device has since left (region
     /// departures), so churn statistics survive.
     retired: Vec<(VnId, EmulatorReport)>,
-    client: Option<Box<dyn ClientApp<VA::Msg>>>,
-    /// Client-side reception accumulating for the current virtual
-    /// round.
-    client_rx: VirtualReception<VA::Msg>,
+    /// The client program and what it hears; `None` for a pure relay,
+    /// which then keeps no client-side buffers at all.
+    client: Option<Box<ClientSide<VA::Msg>>>,
+}
+
+/// The client side of a device.
+struct ClientSide<M> {
+    app: Box<dyn ClientApp<M>>,
+    /// Reception accumulating for the current virtual round.
+    rx: VirtualReception<M>,
     /// Completed reception of the previous virtual round (what the
-    /// client app sees).
-    client_prev: VirtualReception<VA::Msg>,
+    /// app sees).
+    prev: VirtualReception<M>,
 }
 
 impl<VA: VirtualAutomaton> Device<VA> {
@@ -269,9 +275,13 @@ impl<VA: VirtualAutomaton> Device<VA> {
             dep,
             emulator: None,
             retired: Vec::new(),
-            client,
-            client_rx: VirtualReception::default(),
-            client_prev: VirtualReception::default(),
+            client: client.map(|app| {
+                Box::new(ClientSide {
+                    app,
+                    rx: VirtualReception::default(),
+                    prev: VirtualReception::default(),
+                })
+            }),
         }
     }
 
@@ -309,7 +319,7 @@ impl<VA: VirtualAutomaton> Device<VA> {
 
     /// Typed access to the client app.
     pub fn client<T: 'static>(&self) -> Option<&T> {
-        self.client.as_ref()?.as_any().downcast_ref::<T>()
+        self.client.as_ref()?.app.as_any().downcast_ref::<T>()
     }
 
     /// Called at each virtual-round boundary: region management and
@@ -369,10 +379,13 @@ impl<VA: VirtualAutomaton> Process<Wire<VA::Msg>> for Device<VA> {
 
         match phase {
             VirtualPhase::Client => {
-                let prev = std::mem::take(&mut self.client_rx);
-                self.client_prev = prev;
-                let app = self.client.as_mut()?;
-                app.on_virtual_round(vr, ctx.pos, &self.client_prev)
+                let c = self.client.as_mut()?;
+                // Swap rather than take, so both receptions keep their
+                // buffers from round to round.
+                std::mem::swap(&mut c.rx, &mut c.prev);
+                c.rx.clear();
+                c.app
+                    .on_virtual_round(vr, ctx.pos, &c.prev)
                     .map(Wire::Client)
             }
             VirtualPhase::Vn => {
@@ -466,27 +479,35 @@ impl<VA: VirtualAutomaton> Process<Wire<VA::Msg>> for Device<VA> {
             VirtualPhase::Client => {
                 for m in rx.messages {
                     if let Wire::Client(a) = m {
-                        self.client_rx.messages.push(a.clone());
+                        if let Some(c) = self.client.as_mut() {
+                            c.rx.push(None, a.clone());
+                        }
                         if let Some(e) = self.emulator.as_mut() {
                             e.obs.messages.push(a.clone());
                         }
                     }
                 }
-                self.client_rx.collision |= rx.collision;
+                if let Some(c) = self.client.as_mut() {
+                    c.rx.collision |= rx.collision;
+                }
                 if let Some(e) = self.emulator.as_mut() {
                     e.obs.collision |= rx.collision;
                 }
             }
             VirtualPhase::Vn => {
                 for m in rx.messages {
-                    if let Wire::VnMsg { payload, .. } = m {
-                        self.client_rx.messages.push(payload.clone());
+                    if let Wire::VnMsg { vn, payload } = m {
+                        if let Some(c) = self.client.as_mut() {
+                            c.rx.push(Some(*vn), payload.clone());
+                        }
                         if let Some(e) = self.emulator.as_mut() {
                             e.obs.messages.push(payload.clone());
                         }
                     }
                 }
-                self.client_rx.collision |= rx.collision;
+                if let Some(c) = self.client.as_mut() {
+                    c.rx.collision |= rx.collision;
+                }
                 if let Some(e) = self.emulator.as_mut() {
                     e.obs.collision |= rx.collision;
                 }
@@ -570,9 +591,9 @@ impl<VA: VirtualAutomaton> Process<Wire<VA::Msg>> for Device<VA> {
                 // End of the virtual round: a co-located replica that
                 // ended ⊥ instructs its client to simulate a collision
                 // (Section 3.3).
-                if let Some(e) = self.emulator.as_ref() {
+                if let (Some(e), Some(c)) = (self.emulator.as_ref(), self.client.as_mut()) {
                     if e.is_replica() && e.began && !e.last_green {
-                        self.client_rx.collision = true;
+                        c.rx.collision = true;
                     }
                 }
             }

@@ -20,7 +20,7 @@ use rand::SeedableRng;
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use vi_audit::pick;
+use vi_audit::{pick, Verdict};
 use vi_scenario::{EngineTuning, IncidentBundle, ScenarioOutcome, ScenarioSpec, SweepRunner};
 
 /// Salt folded into the campaign seed so the mutation stream shares
@@ -47,6 +47,10 @@ pub enum FailureClass {
     Stall,
     /// The run panicked.
     Panic,
+    /// A consistency-audit checker ran out of search budget: nothing
+    /// was proven wrong, so this is a checker-capacity finding, never
+    /// a protocol bug.
+    Inconclusive,
 }
 
 impl FailureClass {
@@ -57,6 +61,7 @@ impl FailureClass {
             FailureClass::AuditViolation => "audit",
             FailureClass::Stall => "stall",
             FailureClass::Panic => "panic",
+            FailureClass::Inconclusive => "inconclusive",
         }
     }
 }
@@ -66,8 +71,14 @@ pub fn classify(outcome: &ScenarioOutcome) -> Option<FailureClass> {
     if outcome.safety_violations() > 0 {
         return Some(FailureClass::Safety);
     }
-    if outcome.audit.as_ref().is_some_and(|r| !r.ok()) {
-        return Some(FailureClass::AuditViolation);
+    if let Some(report) = &outcome.audit {
+        let failed = |v: Verdict| report.checks.iter().any(|c| c.verdict == v);
+        if failed(Verdict::Violation) {
+            return Some(FailureClass::AuditViolation);
+        }
+        if failed(Verdict::Inconclusive) {
+            return Some(FailureClass::Inconclusive);
+        }
     }
     if outcome
         .traffic
@@ -448,6 +459,39 @@ mod tests {
             minimize_budget: 48,
         })
         .expect("no corpus dir, no I/O errors")
+    }
+
+    #[test]
+    fn inconclusive_audits_are_their_own_class() {
+        use vi_audit::{AuditReport, CheckResult};
+        let spec = vi_scenario::catalog::scenario("blackout_market").expect("catalog");
+        let check = |verdict| CheckResult {
+            name: "linearizable".into(),
+            verdict,
+            checked: 1,
+            witness: None,
+            witness_ops: Vec::new(),
+        };
+        let with = |verdicts: &[Verdict]| {
+            let mut out = placeholder_outcome(&spec, 1);
+            out.audit = Some(AuditReport {
+                app: "register".into(),
+                ops: 1,
+                timeouts: 0,
+                checks: verdicts.iter().map(|&v| check(v)).collect(),
+            });
+            classify(&out)
+        };
+        assert_eq!(with(&[Verdict::Pass]), None);
+        assert_eq!(
+            with(&[Verdict::Pass, Verdict::Inconclusive]),
+            Some(FailureClass::Inconclusive)
+        );
+        assert_eq!(
+            with(&[Verdict::Inconclusive, Verdict::Violation]),
+            Some(FailureClass::AuditViolation)
+        );
+        assert_eq!(FailureClass::Inconclusive.label(), "inconclusive");
     }
 
     #[test]

@@ -88,6 +88,30 @@ fn sparse_grid() -> ScenarioSpec {
     }
 }
 
+/// `grid_register` — the register **audited** on `sparse_grid`'s 2×2
+/// layout, with client ports on two of its virtual nodes (the first
+/// two clusters). Every virtual node runs its own register, so the
+/// audit must check each node's sub-history as a separate object: the
+/// merged history looks like a stale read whenever a client at one
+/// node reads after a write acked by another. The regression pin for
+/// that false positive.
+fn grid_register() -> ScenarioSpec {
+    let base = sparse_grid();
+    let WorkloadSpec::ViCounter { layout, .. } = base.workload else {
+        unreachable!("sparse_grid deploys a virtual-node world")
+    };
+    ScenarioSpec {
+        name: "grid_register".into(),
+        workload: WorkloadSpec::Traffic {
+            app: AppKind::Register,
+            layout,
+            traffic: TrafficSpec::open(6, 0.3, 40),
+            audit: true,
+        },
+        ..base
+    }
+}
+
 /// `flash_crowd` — a small core joined by a staggered arrival wave on
 /// a still-misbehaving channel (ad hoc deployment, Section 1).
 fn flash_crowd() -> ScenarioSpec {
@@ -162,6 +186,35 @@ fn robot_patrol() -> ScenarioSpec {
             },
             virtual_rounds: 10,
         },
+    }
+}
+
+/// `patrol_register` — the register **audited** with `robot_patrol`'s
+/// robots as the clients, patrolling at half speed: they pass through
+/// both virtual-node regions, so each client is served by whichever
+/// node it is near, and only the replying node's id says which
+/// register an op hit. The static anchors keep both regions alive.
+fn patrol_register() -> ScenarioSpec {
+    let base = robot_patrol();
+    let WorkloadSpec::ViCounter { layout, .. } = base.workload else {
+        unreachable!("robot_patrol deploys a virtual-node world")
+    };
+    // Client ports run on the first devices: the robots go first.
+    let mut populations = base.populations;
+    populations.rotate_right(1);
+    if let MobilitySpec::PatrolRoute { speed, .. } = &mut populations[0].mobility {
+        *speed = 0.5;
+    }
+    ScenarioSpec {
+        name: "patrol_register".into(),
+        populations,
+        workload: WorkloadSpec::Traffic {
+            app: AppKind::Register,
+            layout,
+            traffic: TrafficSpec::open(3, 0.3, 40),
+            audit: true,
+        },
+        ..base
     }
 }
 
@@ -566,6 +619,8 @@ pub fn catalog() -> Vec<ScenarioSpec> {
         quake_drill(),
         fuzz_scatter_clique(),
         fuzz_split_quorum(),
+        grid_register(),
+        patrol_register(),
     ]
 }
 
@@ -694,6 +749,78 @@ mod tests {
             "fuzz_split_quorum must reproduce its linearizability violation"
         );
         assert_eq!(report.app, "majority_register");
+    }
+
+    /// The regression pin for the single-object false positive: the
+    /// per-VN audit passes `grid_register`, while the whole-history
+    /// search over the same merged ops still finds the "stale read"
+    /// (the fix is in the object model, not a weaker checker).
+    #[test]
+    fn grid_register_audits_per_vn_and_the_merged_history_still_fails() {
+        use vi_audit::{
+            check_register, merged_register_ops, register_ops, HistoryRecorder, LinResult,
+        };
+        let spec = scenario("grid_register").unwrap();
+        let WorkloadSpec::Traffic { app, traffic, .. } = &spec.workload else {
+            panic!("traffic workload");
+        };
+        for seed in 1..=4 {
+            let out = spec.run(seed);
+            let report = out.audit.as_ref().expect("audited scenario");
+            assert!(report.ok(), "seed {seed}: {:?}", report.violations());
+            assert_eq!(report.timeouts, 0, "seed {seed}: a quiet channel");
+        }
+        let (_, history) =
+            HistoryRecorder::record(*app, spec.traffic_world(1).expect("traffic"), traffic);
+        assert_eq!(vi_audit::audit(&history), spec.run(1).audit.unwrap());
+        assert_eq!(register_ops(&history).len(), 2, "ops served at two nodes");
+        let LinResult::Violation { witness } = check_register(&merged_register_ops(&history))
+        else {
+            panic!("the merged history must still look non-linearizable");
+        };
+        assert_eq!(witness.join("; "), "#1 W(1) [4, 7]; #4 R→0 [14, 16]");
+    }
+
+    /// Patrolling clients are served by both virtual nodes; the audit
+    /// reaches a verdict (a pass) on every seed, identically at any
+    /// worker count.
+    #[test]
+    fn patrol_register_reaches_a_verdict_at_any_worker_count() {
+        use crate::runner::SweepRunner;
+        use std::collections::{BTreeMap, BTreeSet};
+        use vi_audit::HistoryRecorder;
+        use vi_traffic::{OpOutcome, TrafficEvent};
+        let spec = scenario("patrol_register").unwrap();
+        let jobs: Vec<(ScenarioSpec, u64)> = (1..=4).map(|seed| (spec.clone(), seed)).collect();
+        let one = SweepRunner::new(1).run(&jobs);
+        let two = SweepRunner::new(2).run(&jobs);
+        assert_eq!(
+            serde_json::to_string(&one).unwrap(),
+            serde_json::to_string(&two).unwrap()
+        );
+        assert_eq!(one, SweepRunner::new(1).run(&jobs), "runs repeat exactly");
+        for out in &one {
+            let report = out.audit.as_ref().expect("audited scenario");
+            assert!(report.ok(), "seed {}: {:?}", out.seed, report.violations());
+        }
+        // Some client was served by both nodes over the run.
+        let WorkloadSpec::Traffic { app, traffic, .. } = &spec.workload else {
+            panic!("traffic workload");
+        };
+        let (_, history) =
+            HistoryRecorder::record(*app, spec.traffic_world(1).expect("traffic"), traffic);
+        let mut served: BTreeMap<u32, BTreeSet<usize>> = BTreeMap::new();
+        for e in &history.events {
+            if let TrafficEvent::Complete {
+                client,
+                outcome: OpOutcome::Acked { vn } | OpOutcome::ReadValue { vn, .. },
+                ..
+            } = e
+            {
+                served.entry(*client).or_default().insert(*vn);
+            }
+        }
+        assert!(served.values().any(|vns| vns.len() == 2), "{served:?}");
     }
 
     #[test]

@@ -359,11 +359,11 @@ impl ScenarioSpec {
             ),
             WorkloadSpec::Traffic {
                 app,
-                layout,
                 traffic,
                 audit,
+                ..
             } => self.run_traffic(
-                seed, *app, layout, traffic, *audit, tuning, causal, flight, probe, monitor,
+                seed, *app, traffic, *audit, tuning, causal, flight, probe, monitor,
             ),
             WorkloadSpec::MajorityRegister {
                 writes,
@@ -614,25 +614,21 @@ impl ScenarioSpec {
         out
     }
 
-    /// Runs a client-traffic workload: populations emulate the app's
-    /// virtual nodes; the first `traffic.clients` devices also run
-    /// request ports driven by the vi-traffic generator. With
-    /// `audited`, the run's operation history feeds the `vi-audit`
-    /// checkers and the outcome carries their verdicts.
-    #[allow(clippy::too_many_arguments)]
-    fn run_traffic(
-        &self,
-        seed: u64,
-        app: AppKind,
-        layout: &crate::spec::LayoutSpec,
-        traffic: &TrafficSpec,
-        audited: bool,
-        tuning: EngineTuning,
-        causal: &CausalRecorder,
-        flight: &FlightRecorder,
-        probe: &Probe,
-        monitor: &Monitor,
-    ) -> ScenarioOutcome {
+    /// The world a traffic workload runs over at `seed`, exactly as
+    /// [`ScenarioSpec::run`] builds it: seeded placement in population
+    /// order, spawn and crash plans, nemesis crash bursts folded into
+    /// the churn (client ports at the deployment front are protected),
+    /// nemesis channel faults composed over the base adversary. `None`
+    /// unless the workload is `Traffic`. Recording a history over it
+    /// (`vi_audit::HistoryRecorder::record` with the spec's app and
+    /// traffic) reproduces the history an audited run checks.
+    pub fn traffic_world(&self, seed: u64) -> Option<TrafficWorld> {
+        let WorkloadSpec::Traffic {
+            layout, traffic, ..
+        } = &self.workload
+        else {
+            return None;
+        };
         let mut place_rng = StdRng::seed_from_u64(seed ^ PLACEMENT_SALT);
         let mut devices = Vec::with_capacity(self.node_count());
         for pop in &self.populations {
@@ -647,17 +643,35 @@ impl ScenarioSpec {
                 });
             }
         }
-        // Nemesis: crash bursts fold into the device churn (client
-        // ports at the deployment front are protected), channel
-        // faults compose over the base adversary.
         self.nemesis.apply_crashes(&mut devices, traffic.clients);
-        let tw = TrafficWorld {
+        Some(TrafficWorld {
             radio: self.radio,
             layout: layout.build(),
             seed,
             adversary: self.nemesis.compile_adversary(&self.adversary),
             devices,
-        };
+        })
+    }
+
+    /// Runs a client-traffic workload: populations emulate the app's
+    /// virtual nodes; the first `traffic.clients` devices also run
+    /// request ports driven by the vi-traffic generator. With
+    /// `audited`, the run's operation history feeds the `vi-audit`
+    /// checkers and the outcome carries their verdicts.
+    #[allow(clippy::too_many_arguments)]
+    fn run_traffic(
+        &self,
+        seed: u64,
+        app: AppKind,
+        traffic: &TrafficSpec,
+        audited: bool,
+        tuning: EngineTuning,
+        causal: &CausalRecorder,
+        flight: &FlightRecorder,
+        probe: &Probe,
+        monitor: &Monitor,
+    ) -> ScenarioOutcome {
+        let tw = self.traffic_world(seed).expect("traffic workload");
         // The traffic driver owns its engine internally, so the probe
         // records the workload-level counters only (timeouts, audit
         // ops, delivery totals); per-round resolver-mode counters stay

@@ -138,14 +138,19 @@ pub enum OpDesc {
 /// an audit history.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum OpOutcome {
-    /// Write acknowledged by the virtual node.
-    Acked,
-    /// Read answered with the register contents.
+    /// Write acknowledged by virtual node `vn`.
+    Acked {
+        /// The virtual node whose `Ack` completed the write.
+        vn: usize,
+    },
+    /// Read answered with virtual node `vn`'s register contents.
     ReadValue {
         /// Tag of the returned value (0 = never written).
         tag: u64,
         /// The returned value.
         value: u64,
+        /// The virtual node whose `Value` reply completed the read.
+        vn: usize,
     },
     /// Lock granted (and immediately released by the adapter).
     Granted,
@@ -293,8 +298,9 @@ pub struct TrafficWorld {
 struct Port<M> {
     /// Messages awaiting broadcast: `(request id, message)`, FIFO.
     outbox: VecDeque<(u64, M)>,
-    /// Messages heard, tagged with the virtual round they arrived in.
-    rx: Vec<(u64, M)>,
+    /// Messages heard, tagged with the virtual round they arrived in
+    /// and their sender (`Some(vn)` for a virtual node).
+    rx: Vec<(u64, Option<VnId>, M)>,
     /// Send events: `(request id, virtual round broadcast)`.
     sent: Vec<(u64, u64)>,
     /// Device position as of the last client phase.
@@ -329,8 +335,8 @@ impl<M: Clone + 'static> ClientApp<M> for PortClient<M> {
         let mut p = self.port.borrow_mut();
         p.pos = pos;
         // `prev` is the reception of virtual round `vr - 1`.
-        for m in &prev.messages {
-            p.rx.push((vr.saturating_sub(1), m.clone()));
+        for (sender, m) in prev.with_senders() {
+            p.rx.push((vr.saturating_sub(1), sender, m.clone()));
         }
         if p.stride > 1 && vr % p.stride != p.slot % p.stride {
             return None;
@@ -412,7 +418,7 @@ where
     }
 
     /// Drains the received messages of client `i`.
-    fn drain_rx(&mut self, i: usize) -> Vec<(u64, VA::Msg)> {
+    fn drain_rx(&mut self, i: usize) -> Vec<(u64, Option<VnId>, VA::Msg)> {
         std::mem::take(&mut self.ports[i].borrow_mut().rx)
     }
 
@@ -566,12 +572,17 @@ impl Service for RegisterService {
         self.harness.step();
         let mut done = Vec::new();
         for i in 0..self.clients() {
-            for (heard_vr, msg) in self.harness.drain_rx(i) {
+            for (heard_vr, sender, msg) in self.harness.drain_rx(i) {
+                // Only virtual nodes answer; the reply's sender is the
+                // register instance that served the op.
+                let Some(VnId(vn)) = sender else {
+                    continue;
+                };
                 let hit = match &msg {
                     RegMsg::Ack { tag } => self
                         .write_index
                         .remove(tag)
-                        .map(|id| (id, OpOutcome::Acked)),
+                        .map(|id| (id, OpOutcome::Acked { vn })),
                     RegMsg::Value { nonce, tag, value } => {
                         self.read_index.remove(nonce).map(|id| {
                             (
@@ -579,6 +590,7 @@ impl Service for RegisterService {
                                 OpOutcome::ReadValue {
                                     tag: *tag,
                                     value: *value,
+                                    vn,
                                 },
                             )
                         })
@@ -751,7 +763,7 @@ impl Service for MutexService {
                 }
             }
             let mut granted = None;
-            for (heard_vr, msg) in self.harness.drain_rx(i) {
+            for (heard_vr, _, msg) in self.harness.drain_rx(i) {
                 if msg.granted_client() == Some(me) {
                     self.audit.push(AuditRecord::Granted {
                         client: me,
@@ -935,7 +947,7 @@ impl Service for TrackingService {
                     });
                 }
             }
-            for (heard_vr, msg) in self.harness.drain_rx(i) {
+            for (heard_vr, _, msg) in self.harness.drain_rx(i) {
                 if let TrackMsg::Answer { object, cell } = msg {
                     // The answer is a broadcast: every pending query
                     // for this object is answered at once — except
@@ -1331,11 +1343,16 @@ mod tests {
         assert_eq!(op, OpDesc::Read);
         done.extend(run_until(&mut svc, 20));
         let write = done.iter().find(|c| c.id == 1).expect("write done");
-        assert_eq!(write.outcome, OpOutcome::Acked);
+        // The single virtual node served both ops.
+        assert_eq!(write.outcome, OpOutcome::Acked { vn: 0 });
         let read = done.iter().find(|c| c.id == 2).expect("read done");
         assert_eq!(
             read.outcome,
-            OpOutcome::ReadValue { tag: 1, value: 1 },
+            OpOutcome::ReadValue {
+                tag: 1,
+                value: 1,
+                vn: 0
+            },
             "the read issued after the ack sees the write"
         );
     }

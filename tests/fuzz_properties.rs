@@ -23,7 +23,9 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use virtual_infra::audit::{audit, mutate, pick, HistoryRecorder, Mutation};
+use virtual_infra::audit::{
+    audit, audit_register_ops, merged_register_ops, mutate, pick, HistoryRecorder, Mutation,
+};
 use virtual_infra::fuzz::campaign::{classify_run, FailureClass};
 use virtual_infra::fuzz::{apply, minimize, seed_corpus, MUTATORS};
 use virtual_infra::scenario::{EngineTuning, ScenarioSpec};
@@ -157,7 +159,11 @@ proptest! {
         let spec = TrafficSpec::open(2, 0.4, 20).with_query_fraction(0.5);
         let (out, history) = HistoryRecorder::record(AppKind::Register, world, &spec);
         prop_assert!(out.summary.issued > 0);
-        prop_assert!(audit(&history).ok(), "recorded history must pass");
+        let report = audit(&history);
+        prop_assert!(report.ok(), "recorded history must pass");
+        // One virtual node: the per-VN check is the whole-history one.
+        let whole = audit_register_ops("register", &merged_register_ops(&history));
+        prop_assert_eq!(&report.checks[1], &whole.checks[0]);
         let mut applied = 0;
         for m in Mutation::all() {
             if let Some(broken) = mutate(&history, m, mutation_seed) {
