@@ -1,13 +1,13 @@
 //! Experiment E18 (`metropolis`): the engine hot path at city scale —
-//! pre-overhaul vs overhauled vs tile-sharded rounds, through the
+//! pre-overhaul vs overhauled vs sharded rounds, through the
 //! scenario subsystem.
 //!
 //! Deployments are constant-density metropolises of up to 1 000 000
 //! nodes with mixed static/mobile populations, compiled from
 //! [`ScenarioSpec`]s and executed through the [`SweepRunner`]. Every
 //! configuration runs on the sequential overhauled path and on the
-//! tile-sharded parallel path ([`SHARD_WORKERS`] intra-round
-//! workers); the affordable sizes additionally run on the
+//! sharded parallel path ([`SHARD_WORKERS`] intra-round workers,
+//! clamped to the host's cores for timing); the affordable sizes additionally run on the
 //! pre-overhaul path. All outcome tables are asserted byte-identical
 //! before any timing is reported: neither the overhaul nor the
 //! sharding buys anything but wall-clock.
@@ -16,7 +16,8 @@
 //! nodes never move, the old path re-sorts and re-bucketizes
 //! identical geometry round after round, the overhauled path resolves
 //! each round from cached neighborhoods, and the sharded path fans
-//! the neighborhood scans across row-band tiles of the spatial grid.
+//! the neighborhood scans out over chunks of intent slots that the
+//! pool workers claim.
 //!
 //! The n=200 000 and n=1 000 000 rows are expensive, so they only run
 //! when `VI_METROPOLIS_LARGE=1` is set (CI runs them in a non-gating
@@ -40,8 +41,18 @@ const SEED: u64 = 1;
 const SPACING: f64 = 15.0;
 
 /// Intra-round worker count of the sharded columns (matches the CI
-/// speedup guard: ≥1.5x at 4 workers on `static_heavy`).
+/// speedup guard: ≥1.5x at 4 workers on `static_heavy`). The timing
+/// runs clamp it to the host's cores (see [`timing_workers`]); the
+/// byte-identity sweeps do not, since identity needs no cores.
 pub const SHARD_WORKERS: usize = 4;
+
+/// The worker count the sharded timing column actually runs with:
+/// [`SHARD_WORKERS`] clamped to `available_parallelism`, so a host
+/// with fewer cores times sharding rather than oversubscription.
+pub fn timing_workers() -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    SHARD_WORKERS.min(cores)
+}
 
 /// One E18 configuration row. The experiment table, its tests, and
 /// the CI guards all derive from [`CONFIGS`], so rows cannot drift
@@ -200,7 +211,7 @@ pub fn ms_per_round(spec: &ScenarioSpec, legacy_engine: bool) -> f64 {
 ///
 /// Panics if any two engine paths ever disagree on an outcome — that
 /// would be a determinism bug in the hot-path overhaul or in the
-/// tile-sharded resolver.
+/// sharded resolver.
 pub fn metropolis() -> Table {
     let small: Vec<ScenarioSpec> = CONFIGS.iter().filter(|c| !c.large).map(spec_of).collect();
 
@@ -220,11 +231,11 @@ pub fn metropolis() -> Table {
     assert_eq!(
         serde_json::to_string(&fast).expect("serializable outcomes"),
         serde_json::to_string(&sharded).expect("serializable outcomes"),
-        "sequential and tile-sharded rounds must be byte-identical"
+        "sequential and sharded rounds must be byte-identical"
     );
 
     let mut t = Table::new(
-        "E18 metropolis: engine hot path — pre-overhaul vs overhauled vs tile-sharded rounds",
+        "E18 metropolis: engine hot path — pre-overhaul vs overhauled vs sharded rounds",
         &[
             "mix",
             "n",
@@ -241,6 +252,7 @@ pub fn metropolis() -> Table {
         ],
     );
     let large_on = large_rows_enabled();
+    let used_workers = timing_workers();
     for cfg in CONFIGS {
         if cfg.large && !large_on {
             continue;
@@ -255,7 +267,7 @@ pub fn metropolis() -> Table {
             Some(ms_per_round(&spec, true))
         };
         let (seq_ms, seq_out) = timed_run(&spec, EngineTuning::with_workers(1));
-        let (shard_ms, shard_out) = timed_run(&spec, EngineTuning::with_workers(SHARD_WORKERS));
+        let (shard_ms, shard_out) = timed_run(&spec, EngineTuning::with_workers(used_workers));
         assert_eq!(
             seq_out, shard_out,
             "sequential and sharded outcomes diverged on {}",
@@ -278,7 +290,7 @@ pub fn metropolis() -> Table {
             cfg.mix.to_string(),
             seq_out.nodes.to_string(),
             seq_out.rounds.to_string(),
-            SHARD_WORKERS.to_string(),
+            format!("{SHARD_WORKERS}/{used_workers}"),
             old_ms.map_or_else(|| "-".to_string(), |ms| format!("{ms:.3}")),
             format!("{seq_ms:.3}"),
             format!("{shard_ms:.3}"),
@@ -305,7 +317,7 @@ pub fn metropolis() -> Table {
     t.note("constant density (15 m spacing); mobile nodes are 0.5 m/round waypoints");
     t.note("static_heavy = 2% mobile, commuter = 30%, rush_hour = 60% (high churn exercises the churn fallback)");
     t.note("outcome tables asserted byte-identical across all engine paths (legacy, sequential, sharded) before timing");
-    t.note("`workers` is the intra-round worker count of the sharded column; shard speedup = seq / sharded");
+    t.note("`workers` is the sharded column's intra-round worker count, requested/used: timing runs clamp it to available_parallelism (the byte-identity sweep above runs the requested count); shard speedup = seq / sharded");
     t.note("steady/reanchor/churn are deterministic round-mode counters; receptions is total deliveries (telemetry run, timing columns are telemetry-off)");
     if large_on {
         t.note("large rows (n >= 200000) enabled via VI_METROPOLIS_LARGE=1; their legacy-path timing is skipped ('-')");
@@ -440,7 +452,7 @@ mod tests {
         }
     }
 
-    /// Acceptance criterion for tile sharding, CI-release only: the
+    /// Acceptance criterion for sharding, CI-release only: the
     /// *round resolver* at 4 workers must be ≥1.5x faster than
     /// sequential on a static-heavy metropolis-scale medium, while
     /// byte-identical.

@@ -31,7 +31,7 @@
 //! On a green instance the replica folds the decided suffix into the
 //! automaton state (checkpoint-CHA, Section 3.5) and garbage-collects.
 
-use crate::cha::history::Ballot;
+use crate::cha::history::{Ballot, History};
 use crate::cha::protocol::ChaProtocol;
 use crate::vi::automaton::{VirtualAutomaton, VirtualInput, VnCtx, VnId};
 use crate::vi::client::{ClientApp, VirtualReception};
@@ -44,6 +44,7 @@ use std::any::Any;
 use std::fmt;
 use std::rc::Rc;
 use vi_contention::{CmSlot, SharedCm};
+use vi_radio::geometry::{Point, SpatialGrid};
 use vi_radio::{Process, RoundCtx, RoundReception};
 
 /// Everything shared by all devices of one deployment.
@@ -58,9 +59,42 @@ pub struct Deployment<VA: VirtualAutomaton> {
     pub plan: RoundPlan,
     /// One regional contention manager per virtual node.
     pub cms: Vec<SharedCm>,
+    /// Spatial index over the virtual-node locations, for
+    /// [`Deployment::region_of`].
+    regions: SpatialGrid,
 }
 
 impl<VA: VirtualAutomaton> Deployment<VA> {
+    /// Assembles a deployment, indexing the layout's regions once.
+    pub fn new(
+        automaton: VA,
+        layout: VnLayout,
+        schedule: Schedule,
+        plan: RoundPlan,
+        cms: Vec<SharedCm>,
+    ) -> Self {
+        let mut regions = SpatialGrid::new(layout.region_radius());
+        let locations: Vec<_> = layout.iter().map(|(_, loc)| loc).collect();
+        regions.rebuild(&locations);
+        Deployment {
+            automaton,
+            layout,
+            schedule,
+            plan,
+            cms,
+            regions,
+        }
+    }
+
+    /// The virtual node whose emulation region contains `pos`, if any:
+    /// [`VnLayout::region_of`] answered through the spatial index
+    /// (the lowest id still wins where regions overlap).
+    pub fn region_of(&self, pos: Point) -> Option<VnId> {
+        self.regions
+            .first_within(pos, self.layout.region_radius())
+            .map(|i| VnId(i as usize))
+    }
+
     fn cm(&self, vn: VnId) -> &SharedCm {
         &self.cms[vn.index()]
     }
@@ -106,6 +140,17 @@ pub struct EmulatorReport {
     /// Virtual rounds in which this replica broadcast for the virtual
     /// node.
     pub vn_broadcasts: u64,
+}
+
+impl EmulatorReport {
+    /// Adds `other`'s counts to this report.
+    pub fn add(&mut self, other: EmulatorReport) {
+        self.decided += other.decided;
+        self.bottom += other.bottom;
+        self.joins += other.joins;
+        self.resets += other.resets;
+        self.vn_broadcasts += other.vn_broadcasts;
+    }
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -167,10 +212,14 @@ impl<VA: VirtualAutomaton> Emulator<VA> {
         self.mode == Mode::Replica
     }
 
-    /// Folds the decided suffix of a green instance into the automaton
-    /// state and garbage-collects (checkpoint-CHA).
-    fn fold_green(&mut self, dep: &Deployment<VA>, upto: u64) {
-        let history = self.protocol.current_history();
+    /// Folds the decided suffix of a green instance's `history` into
+    /// the automaton state and garbage-collects (checkpoint-CHA).
+    fn fold_green(
+        &mut self,
+        dep: &Deployment<VA>,
+        upto: u64,
+        history: &History<VrProposal<VA::Msg>>,
+    ) {
         for k in (self.folded_to + 1)..=upto {
             let input = match history.get(k) {
                 Some(p) => VirtualInput {
@@ -196,10 +245,10 @@ impl<VA: VirtualAutomaton> Emulator<VA> {
     fn conclude(&mut self, dep: &Deployment<VA>, vr: u64, veto: bool, collision: bool) {
         let out = self.protocol.on_veto2_phase(veto, collision);
         debug_assert_eq!(out.instance, vr, "instance/virtual-round alignment");
-        if out.decided() {
+        if let Some(history) = out.history {
             self.report.decided += 1;
             self.last_green = true;
-            self.fold_green(dep, vr);
+            self.fold_green(dep, vr, &history);
         } else {
             self.report.bottom += 1;
             self.last_green = false;
@@ -291,12 +340,15 @@ impl<VA: VirtualAutomaton> Device<VA> {
         self.emulator.as_ref().map(|e| (e.vn, e.report))
     }
 
-    /// All emulation reports over the device's lifetime: retired
-    /// (left-region) emulations plus the current one.
-    pub fn all_reports(&self) -> Vec<(VnId, EmulatorReport)> {
-        let mut all = self.retired.clone();
-        all.extend(self.emulator_report());
-        all
+    /// Visits every emulation report over the device's lifetime:
+    /// retired (left-region) emulations, then the current one.
+    pub fn for_each_report(&self, mut visit: impl FnMut(VnId, EmulatorReport)) {
+        for &(vn, r) in &self.retired {
+            visit(vn, r);
+        }
+        if let Some((vn, r)) = self.emulator_report() {
+            visit(vn, r);
+        }
     }
 
     /// `true` if the device is currently a full replica.
@@ -324,10 +376,10 @@ impl<VA: VirtualAutomaton> Device<VA> {
 
     /// Called at each virtual-round boundary: region management and
     /// buffer rotation.
-    fn begin_virtual_round(&mut self, vr: u64, pos: vi_radio::geometry::Point) {
+    fn begin_virtual_round(&mut self, vr: u64, pos: Point) {
         // Region management: enter/leave emulations.
         let dep = Rc::clone(&self.dep);
-        let here = dep.layout.region_of(pos);
+        let here = dep.region_of(pos);
         match (&mut self.emulator, here) {
             (Some(e), Some(vn)) if e.vn == vn => {}
             (em, here) => {

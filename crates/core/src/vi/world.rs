@@ -64,13 +64,13 @@ impl<VA: VirtualAutomaton> World<VA> {
                 )))
             })
             .collect();
-        let dep = Rc::new(Deployment {
-            automaton: config.automaton,
-            layout: config.layout,
+        let dep = Rc::new(Deployment::new(
+            config.automaton,
+            config.layout,
             schedule,
             plan,
             cms,
-        });
+        ));
         let engine = Engine::new(EngineConfig {
             radio: config.radio,
             seed: config.seed,
@@ -248,17 +248,24 @@ impl<VA: VirtualAutomaton> World<VA> {
     pub fn vn_report(&self, vn: VnId) -> (usize, EmulatorReport) {
         let mut agg = EmulatorReport::default();
         for &id in &self.devices {
-            for (v, r) in self.device(id).all_reports() {
+            self.device(id).for_each_report(|v, r| {
                 if v == vn {
-                    agg.decided += r.decided;
-                    agg.bottom += r.bottom;
-                    agg.joins += r.joins;
-                    agg.resets += r.resets;
-                    agg.vn_broadcasts += r.vn_broadcasts;
+                    agg.add(r);
                 }
-            }
+            });
         }
         (self.replica_count(vn), agg)
+    }
+
+    /// Emulator reports summed over every virtual node and every
+    /// device lifetime, in one pass over the devices: the sum of
+    /// [`World::vn_report`] over all virtual nodes.
+    pub fn report_totals(&self) -> EmulatorReport {
+        let mut agg = EmulatorReport::default();
+        for &id in &self.devices {
+            self.device(id).for_each_report(|_, r| agg.add(r));
+        }
+        agg
     }
 }
 
@@ -296,6 +303,39 @@ mod tests {
         // The deployment's rounds go through the spatially-indexed
         // medium, configured from the world's radio parameters.
         assert_eq!(*world.medium().config(), RadioConfig::reliable(10.0, 20.0));
+    }
+
+    /// The deployment's indexed region lookup answers exactly as the
+    /// layout's linear scan, overlapping regions (lowest id wins)
+    /// included.
+    #[test]
+    fn indexed_region_lookup_matches_layout_scan() {
+        let layout = VnLayout::new(
+            vec![
+                Point::new(10.0, 10.0),
+                Point::new(12.0, 10.0),
+                Point::new(30.0, 40.0),
+                Point::new(11.0, 11.0),
+                Point::new(200.0, 5.0),
+            ],
+            2.5,
+        );
+        let world = World::new(WorldConfig {
+            radio: RadioConfig::reliable(10.0, 20.0),
+            layout: layout.clone(),
+            automaton: CounterAutomaton,
+            seed: 1,
+            record_trace: false,
+        });
+        let dep = world.deployment();
+        assert_eq!(dep.region_of(Point::new(11.0, 10.0)), Some(VnId(0)));
+        assert_eq!(dep.region_of(Point::new(12.4, 10.9)), Some(VnId(1)));
+        for i in 0..=420 {
+            for j in 0..=100 {
+                let p = Point::new(f64::from(i) * 0.5, f64::from(j) * 0.5);
+                assert_eq!(dep.region_of(p), layout.region_of(p), "at {p}");
+            }
+        }
     }
 
     #[test]

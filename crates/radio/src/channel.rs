@@ -27,6 +27,7 @@ use crate::geometry::{Point, SpatialGrid};
 use crate::pool::WorkerPool;
 use rand::rngs::StdRng;
 use std::cell::UnsafeCell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use vi_telemetry::{trace_export, Phase, Probe};
 
 /// A node's transmission decision for one round.
@@ -230,7 +231,7 @@ pub enum TopologyDelta<'a> {
     Moved(&'a [u32]),
 }
 
-/// Which geometry source a tile-sharded round reads (see
+/// Which geometry source a sharded round reads (see
 /// [`Medium::shard_geometry`]). Each variant mirrors one sequential
 /// resolution path byte for byte.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -247,43 +248,56 @@ enum ShardMode {
     ChurnIndex,
 }
 
-/// One tile's worker-owned scratch: the receivers the tile owns plus
-/// their concatenated `(slot, d²)` candidate lists, filled by the
-/// parallel geometry phase and drained in intent order by the
+/// Number of contiguous intent-slot chunks a sharded round is split
+/// into. Fixed, so the chunk layout (and every scratch buffer's
+/// contents) is the same at any worker count; 64 claims per round are
+/// enough for the workers left running to absorb the share of one
+/// that the host deschedules.
+const SHARD_CHUNKS: usize = 64;
+
+/// The intent slots chunk `c` of an `n`-slot round covers.
+fn chunk_slots(c: usize, n: usize) -> std::ops::Range<usize> {
+    c * n / SHARD_CHUNKS..(c + 1) * n / SHARD_CHUNKS
+}
+
+/// One chunk's geometry scratch: the concatenated `(slot, d²)`
+/// candidate lists of the chunk's receivers, filled by whichever
+/// worker claims the chunk and drained in intent order by the
 /// sequential finalize phase. All buffers are reused round over round.
 #[derive(Debug, Default)]
-struct TileScratch {
-    /// Receivers owned by this tile, ascending intent order.
-    rxs: Vec<u32>,
-    /// Offsets into `flat`: entry `k`'s list is
-    /// `flat[starts[k]..starts[k + 1]]` (always one more offset than
-    /// entries).
+struct ChunkScratch {
+    /// Offsets into `flat`: the chunk's `k`-th receiver's list is
+    /// `flat[starts[k]..starts[k + 1]]` (one more offset than
+    /// receivers).
     starts: Vec<u32>,
     /// Concatenated per-receiver `(slot, d²)` candidate lists.
     flat: Vec<(u32, f64)>,
     /// Grid query scratch.
     query: Vec<(u32, f64)>,
-    /// Finalize read position (an index into `rxs`).
-    cursor: usize,
-    /// Wall-clock span stamp of this tile's geometry pass (µs since
-    /// the trace epoch; written by the owning worker only when span
-    /// tracing is on, read by the control thread after the broadcast).
+    /// The pool worker that claimed the chunk, and the wall-clock span
+    /// of its pass in µs since the trace epoch. Written only when span
+    /// tracing is on, read by the control thread after the broadcast.
+    worker: usize,
     span_start_us: u64,
-    /// Span duration in µs (same lifecycle as `span_start_us`).
-    span_dur_us: u64,
+    span_end_us: u64,
 }
 
-/// [`UnsafeCell`] wrapper giving each pool worker exclusive mutable
-/// access to its own tile during a [`WorkerPool::broadcast`].
+/// [`UnsafeCell`] wrapper giving the worker that claims a chunk
+/// exclusive mutable access to its scratch during a
+/// [`WorkerPool::broadcast`]. Aligned so that no two chunks share a
+/// cache line (or an adjacent-line prefetch pair).
+#[repr(align(128))]
 #[derive(Debug, Default)]
-struct Tile(UnsafeCell<TileScratch>);
+struct Chunk(UnsafeCell<ChunkScratch>);
 
-// SAFETY: during a broadcast, worker `w` dereferences `tiles[w]` and
-// no other tile (the disjointness contract stated in
-// `Medium::shard_geometry`), and the caller touches no tile until the
-// broadcast has returned; outside a broadcast the `Medium` reaches
-// tiles through `&mut self` only, so no aliasing is possible.
-unsafe impl Sync for Tile {}
+// SAFETY: during a broadcast, a worker dereferences `chunks[c]` only
+// after its `fetch_add` on the round's claim counter returned `c`, and
+// the counter returns each index exactly once, so no chunk is reached
+// by two workers. The broadcast returns only after every worker has
+// finished the job, and the caller touches no chunk before that.
+// Outside a broadcast the `Medium` reaches chunks through `&mut self`
+// only, so no aliasing is possible.
+unsafe impl Sync for Chunk {}
 
 /// The shared broadcast medium: resolves rounds through a spatial
 /// index with reusable per-round buffers.
@@ -339,13 +353,14 @@ pub struct Medium {
     /// Scratch: `(receiver << 32 | broadcaster, d²)` events for the
     /// sparse-broadcast scatter resolution.
     events: Vec<(u64, f64)>,
-    // --- tile-sharded parallel resolution state ---
+    // --- sharded parallel resolution state ---
     /// Intra-round worker pool (`None` = fully sequential).
     pool: Option<WorkerPool>,
     /// Smallest intent count worth sharding across the pool.
     shard_min_slots: usize,
-    /// One tile of geometry scratch per pool worker.
-    tiles: Vec<Tile>,
+    /// Geometry scratch of the [`SHARD_CHUNKS`] chunks (empty until
+    /// the first sharded round).
+    chunks: Vec<Chunk>,
     /// Telemetry handle (null by default: every site is one branch).
     /// Counter increments sit on the sequential control path only, so
     /// they are worker-count independent by construction.
@@ -365,7 +380,7 @@ impl Medium {
     /// neighborhoods instead of scanning every receiver's.
     const SCATTER_MAX_TX_NUM: usize = 8;
 
-    /// Default smallest round (intent count) worth tile-sharding:
+    /// Default smallest round (intent count) worth sharding:
     /// below this, waking and joining the pool outweighs the geometry
     /// work being parallelized, so small rounds stay sequential even
     /// when a pool is configured.
@@ -397,7 +412,7 @@ impl Medium {
             events: Vec::new(),
             pool: None,
             shard_min_slots: Self::DEFAULT_SHARD_MIN_SLOTS,
-            tiles: Vec::new(),
+            chunks: Vec::new(),
             probe: Probe::disabled(),
         }
     }
@@ -408,13 +423,13 @@ impl Medium {
         self.probe = probe;
     }
 
-    /// Sets the intra-round worker count for tile-sharded resolution.
+    /// Sets the intra-round worker count for sharded resolution.
     ///
     /// `0` and `1` resolve rounds fully sequentially (releasing any
     /// pool); `workers >= 2` spawns a persistent [`WorkerPool`] and
     /// resolves sufficiently large rounds (see
     /// [`Medium::set_shard_min_slots`]) with the geometry phase
-    /// sharded across row-band tiles of the anchored grid.
+    /// sharded across chunks of intent slots that the workers claim.
     ///
     /// Byte-identity is unconditional: at *any* worker count the
     /// resolver produces identical receptions, identical adversary
@@ -441,73 +456,70 @@ impl Medium {
         self.shard_min_slots = min.max(1);
     }
 
-    /// Whether this round should take the tile-sharded path: a pool is
-    /// configured, the round is big enough to amortize the broadcast,
-    /// and the anchored grid has at least two bucket rows to band.
+    /// Whether this round should take the sharded path: a pool is
+    /// configured and the round is big enough to amortize the
+    /// broadcast.
     fn shard_applicable(&self, n: usize) -> bool {
-        self.pool.is_some() && n >= self.shard_min_slots && self.grid.rows() >= 2
+        self.pool.is_some() && n >= self.shard_min_slots
     }
 
-    /// Parallel geometry phase of a tile-sharded round.
+    /// Parallel geometry phase of a sharded round.
     ///
-    /// Tiles are contiguous bands of grid bucket rows: receiver `rx`
-    /// belongs to tile `grid.row_of(pos) * workers / rows`, a pure
-    /// function of its position and the grid anchor, so the worker
-    /// filter here and the finalize walk agree on membership without
-    /// communicating. Each pool worker fills *only its own* tile with
-    /// the `(slot, d²)` candidate lists the finalize phase feeds to
-    /// [`resolve_receiver`]. Cross-tile interference needs no explicit
-    /// halo exchange: the grid is shared read-only and every query is
-    /// exact, so a receiver near a band edge sees broadcasters from
-    /// neighboring bands exactly as the sequential path does.
+    /// The round's `n` intent slots are split into [`SHARD_CHUNKS`]
+    /// contiguous chunks. Every pool worker, the caller included,
+    /// claims chunk indices from one shared counter until none are
+    /// left, and fills each claimed chunk's scratch with its
+    /// receivers' `(slot, d²)` candidate lists, which the finalize
+    /// phase feeds to [`resolve_receiver`]. A worker the host
+    /// deschedules therefore holds up only the chunk it is on, not a
+    /// fixed share of the round. Receivers need no halo exchange: the
+    /// grid is shared read-only and every query is exact, so each
+    /// receiver sees exactly the broadcasters the sequential path
+    /// sees.
     ///
     /// Workers are RNG-free and intent-free by construction (positions
     /// come from the grid, or from `all_pos` in churn mode), which is
     /// what makes the sharded path byte-identical at any worker count.
     fn shard_geometry(&mut self, mode: ShardMode, n: usize) {
         let pool = self.pool.as_ref().expect("sharding needs a pool");
-        let workers = pool.workers();
-        if self.tiles.len() < workers {
-            self.tiles.resize_with(workers, Tile::default);
-        }
-        for tile in &mut self.tiles[..workers] {
-            let scratch = tile.0.get_mut();
-            scratch.rxs.clear();
-            scratch.flat.clear();
-            scratch.starts.clear();
-            scratch.starts.push(0);
-            scratch.cursor = 0;
+        if self.chunks.is_empty() {
+            self.chunks.resize_with(SHARD_CHUNKS, Chunk::default);
         }
         let grid = &self.grid;
         let nbr = &self.nbr;
         let is_tx = &self.is_tx;
         let broadcasters = &self.broadcasters;
         let all_pos = &self.all_pos;
-        let tiles = &self.tiles[..workers];
-        let rows = grid.rows();
+        let chunks = &self.chunks[..];
         let r2 = self.cfg.r2;
-        // Per-worker Perfetto spans: stamped into the worker-owned
-        // tile (wall-clock only, never read by the resolver), pushed
-        // to the global collector by the control thread below.
+        // The claim counter. `Relaxed` suffices: the read-modify-write
+        // alone makes each index unique, and the chunks' contents
+        // reach the caller through the pool's mutex when the broadcast
+        // returns.
+        let next = AtomicUsize::new(0);
+        let next = &next;
+        // Per-worker Perfetto spans: stamped into the claimed chunk
+        // (wall-clock only, never read by the resolver), pushed to the
+        // global collector by the control thread below.
         let spans_on = self.probe.is_enabled() && trace_export::tracing_enabled();
-        let job = move |w: usize| {
-            // SAFETY: worker `w` dereferences tiles[w] and no other
-            // tile, and `broadcast` below does not return until every
-            // worker is done — see `Tile`.
-            let scratch = unsafe { &mut *tiles[w].0.get() };
+        let job = move |w: usize| loop {
+            let c = next.fetch_add(1, Ordering::Relaxed);
+            if c >= SHARD_CHUNKS {
+                break;
+            }
+            // SAFETY: the counter returned `c` to this worker only,
+            // and the broadcast below does not return until every
+            // worker is done — see `Chunk`.
+            let scratch = unsafe { &mut *chunks[c].0.get() };
             if spans_on {
+                scratch.worker = w;
                 scratch.span_start_us = trace_export::now_us();
             }
-            for rx in 0..n as u32 {
-                let pos = if mode == ShardMode::ChurnIndex {
-                    all_pos[rx as usize]
-                } else {
-                    grid.position(rx)
-                };
-                if grid.row_of(pos) * workers / rows != w {
-                    continue;
-                }
-                scratch.rxs.push(rx);
+            scratch.flat.clear();
+            scratch.starts.clear();
+            scratch.starts.push(0);
+            for rx in chunk_slots(c, n) {
+                let rx = rx as u32;
                 match mode {
                     ShardMode::ScanCached => {
                         // The broadcasting subset of the cached
@@ -524,7 +536,7 @@ impl Medium {
                         // the sequential re-anchor loop; finalize both
                         // installs it in the cache and filters it.
                         scratch.query.clear();
-                        grid.query_within_d2(pos, r2, &mut scratch.query);
+                        grid.query_within_d2(grid.position(rx), r2, &mut scratch.query);
                         if let Ok(at) = scratch.query.binary_search_by_key(&rx, |&(i, _)| i) {
                             scratch.query.remove(at);
                         }
@@ -536,7 +548,7 @@ impl Medium {
                         // `broadcasters` is sorted), exactly as the
                         // sequential churn loop.
                         scratch.query.clear();
-                        grid.query_within_d2(pos, r2, &mut scratch.query);
+                        grid.query_within_d2(all_pos[rx as usize], r2, &mut scratch.query);
                         scratch.flat.extend(
                             scratch
                                 .query
@@ -549,31 +561,43 @@ impl Medium {
                 scratch.starts.push(scratch.flat.len() as u32);
             }
             if spans_on {
-                scratch.span_dur_us = trace_export::now_us() - scratch.span_start_us;
+                scratch.span_end_us = trace_export::now_us();
             }
         };
         pool.broadcast(&job);
         if spans_on {
-            for (w, tile) in self.tiles[..workers].iter_mut().enumerate() {
-                let scratch = tile.0.get_mut();
-                trace_export::record_span(
-                    "shard-geometry",
-                    "pool",
-                    trace_export::PID_POOL,
-                    w as u64,
-                    scratch.span_start_us,
-                    scratch.span_dur_us,
-                );
+            // One span per worker, from its first claim to the end of
+            // its last chunk.
+            for w in 0..pool.workers() {
+                let mut span: Option<(u64, u64)> = None;
+                for chunk in &mut self.chunks {
+                    let s = chunk.0.get_mut();
+                    if s.worker == w {
+                        span = Some(span.map_or((s.span_start_us, s.span_end_us), |(a, b)| {
+                            (a.min(s.span_start_us), b.max(s.span_end_us))
+                        }));
+                    }
+                }
+                if let Some((start, end)) = span {
+                    trace_export::record_span(
+                        "shard-geometry",
+                        "pool",
+                        trace_export::PID_POOL,
+                        w as u64,
+                        start,
+                        end - start,
+                    );
+                }
             }
         }
     }
 
-    /// Sequential finalize phase of a tile-sharded round: walks
-    /// receivers in ascending intent order — the canonical merge order
-    /// — popping each receiver's candidate list from its tile and
-    /// running the verbatim [`resolve_receiver`] delivery rule. Every
-    /// adversary and RNG consultation happens here, on one thread, in
-    /// exactly the sequential resolver's order.
+    /// Sequential finalize phase of a sharded round: walks chunks
+    /// `0..SHARD_CHUNKS` in order, which is ascending intent order —
+    /// the canonical merge order — and runs the verbatim
+    /// [`resolve_receiver`] delivery rule on each receiver's candidate
+    /// list. Every adversary and RNG consultation happens here, on one
+    /// thread, in exactly the sequential resolver's order.
     fn shard_finalize<M: Clone>(
         &mut self,
         mode: ShardMode,
@@ -583,53 +607,39 @@ impl Medium {
         rng: &mut StdRng,
         out: &mut ReceptionBuffer<M>,
     ) {
-        let workers = self.pool.as_ref().expect("sharding needs a pool").workers();
-        let rows = self.grid.rows();
         let cfg = self.cfg;
-        for (j, rx_intent) in intents.iter().enumerate() {
-            let pos = if mode == ShardMode::ChurnIndex {
-                self.all_pos[j]
-            } else {
-                self.grid.position(j as u32)
-            };
-            let band = self.grid.row_of(pos) * workers / rows;
-            let scratch = self.tiles[band].0.get_mut();
-            let k = scratch.cursor;
-            scratch.cursor += 1;
-            debug_assert_eq!(scratch.rxs[k], j as u32, "band assignment must be stable");
-            let range = scratch.starts[k] as usize..scratch.starts[k + 1] as usize;
-            let j_broadcasting = rx_intent.payload.is_some();
-            if mode == ShardMode::RebuildAll {
-                // The worker computed the full neighborhood: install it
-                // in the cache (the sequential re-anchor loop does the
-                // same), then take the broadcasting subset.
-                let full = &scratch.flat[range];
-                self.nbr[j].clear();
-                self.nbr[j].extend_from_slice(full);
-                self.txn.clear();
-                self.txn.extend(
-                    full.iter()
-                        .copied()
-                        .filter(|&(i, _)| self.is_tx[i as usize]),
-                );
+        let n = intents.len();
+        for c in 0..SHARD_CHUNKS {
+            let slots = chunk_slots(c, n);
+            let scratch = self.chunks[c].0.get_mut();
+            for (k, j) in slots.enumerate() {
+                let rx_intent = &intents[j];
+                let range = scratch.starts[k] as usize..scratch.starts[k + 1] as usize;
+                let j_broadcasting = rx_intent.payload.is_some();
+                let txn = if mode == ShardMode::RebuildAll {
+                    // The worker computed the full neighborhood:
+                    // install it in the cache (the sequential re-anchor
+                    // loop does the same), then take the broadcasting
+                    // subset.
+                    let full = &scratch.flat[range];
+                    self.nbr[j].clear();
+                    self.nbr[j].extend_from_slice(full);
+                    self.txn.clear();
+                    self.txn.extend(
+                        full.iter()
+                            .copied()
+                            .filter(|&(i, _)| self.is_tx[i as usize]),
+                    );
+                    &self.txn[..]
+                } else {
+                    &scratch.flat[range]
+                };
                 resolve_receiver(
                     &cfg,
                     round,
                     rx_intent,
                     j_broadcasting,
-                    &self.txn,
-                    intents,
-                    adversary,
-                    rng,
-                    out,
-                );
-            } else {
-                resolve_receiver(
-                    &cfg,
-                    round,
-                    rx_intent,
-                    j_broadcasting,
-                    &scratch.flat[range],
+                    txn,
                     intents,
                     adversary,
                     rng,
@@ -897,6 +907,9 @@ impl Medium {
                 self.grid.move_point(m, intents[m as usize].pos);
                 self.is_mover[m as usize] = true;
             }
+            // Fold the batch's cross-cell moves back into the grid's
+            // cell order under the unchanged anchor.
+            self.grid.settle();
             // Phase B: refresh each mover's own neighborhood and patch
             // its non-moving peers' lists. Fellow movers are skipped —
             // their own refresh rewrites their list wholesale.
@@ -1013,7 +1026,7 @@ impl Medium {
         }
 
         // Large rounds with a pool configured: shard the geometry phase
-        // (the dominant cost) across row-band tiles, then finalize
+        // (the dominant cost) across claimed chunks, then finalize
         // sequentially in canonical order. Byte-identical to the scan
         // loop below at any worker count.
         if self.shard_applicable(n) {
@@ -1102,7 +1115,7 @@ impl Medium {
         self.grid.rebuild(&self.broadcaster_pos);
 
         // Mass-churn rounds shard too: workers query the broadcaster
-        // index over row-band tiles of *receiver* positions, which are
+        // index at the *receiver* positions of their chunks, which are
         // staged in `all_pos` because workers never touch intents.
         if self.shard_applicable(intents.len()) {
             self.probe.add_sharded_round();
@@ -1495,6 +1508,96 @@ mod tests {
         assert!(out[0].collision, "false positive allowed before racc");
         let out = resolve_round(100, &cfg, &intents, &mut adv, &mut rng());
         assert!(!out[0].collision, "accuracy: no false positives from racc");
+    }
+
+    /// Every sharded mode really runs — churn index, re-anchor
+    /// rebuild and steady scan — at 2 and 3 workers, for rounds
+    /// smaller than, equal to and not a multiple of the chunk count,
+    /// with receptions and the RNG stream equal to the sequential
+    /// resolver's.
+    #[test]
+    fn every_sharded_mode_runs_and_matches_sequential() {
+        use crate::adversary::RandomLoss;
+        let cfg = RadioConfig::stabilizing(10.0, 20.0, 100);
+        for n in [SHARD_CHUNKS / 2 + 3, SHARD_CHUNKS, 2 * SHARD_CHUNKS + 5] {
+            // About a dozen nodes per R2 disk.
+            let side = (n as f64).sqrt() * 10.0;
+            let mut positions: Vec<Point> = (0..n as u64)
+                .map(|i| {
+                    let h = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    Point::new(
+                        (h % 1000) as f64 / 1000.0 * side,
+                        ((h >> 32) % 1000) as f64 / 1000.0 * side,
+                    )
+                })
+                .collect();
+            for workers in [2, 3] {
+                let mut seq = Medium::new(cfg);
+                let mut shard = Medium::new(cfg);
+                shard.set_workers(workers);
+                shard.set_shard_min_slots(1);
+                let probe = Probe::enabled();
+                shard.set_probe(probe.clone());
+                let (mut out_seq, mut out_shard) = (ReceptionBuffer::new(), ReceptionBuffer::new());
+                let (mut rng_seq, mut rng_shard) = (rng(), rng());
+                let mut adv_seq = RandomLoss::new(0.2, 0.1);
+                let mut adv_shard = RandomLoss::new(0.2, 0.1);
+                let everyone: Vec<u32> = (0..n as u32).collect();
+                // Churn, re-anchor, steady scan, then churn again by
+                // mass movement.
+                for round in 0..4u64 {
+                    if round == 3 {
+                        for p in &mut positions {
+                            p.x += 0.7;
+                        }
+                    }
+                    let delta = match round {
+                        0 => TopologyDelta::Rebuild,
+                        3 => TopologyDelta::Moved(&everyone),
+                        _ => TopologyDelta::Unchanged,
+                    };
+                    let intents: Vec<TxIntent<u64>> = positions
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &pos)| TxIntent {
+                            node: NodeId::from(i),
+                            pos,
+                            payload: (i as u64 + round).is_multiple_of(3).then_some(i as u64),
+                        })
+                        .collect();
+                    seq.resolve_round_cached(
+                        round,
+                        &intents,
+                        delta,
+                        &mut adv_seq,
+                        &mut rng_seq,
+                        &mut out_seq,
+                    );
+                    shard.resolve_round_cached(
+                        round,
+                        &intents,
+                        delta,
+                        &mut adv_shard,
+                        &mut rng_shard,
+                        &mut out_shard,
+                    );
+                    assert_eq!(
+                        out_shard.to_attributed(),
+                        out_seq.to_attributed(),
+                        "n={n} workers={workers} round {round}"
+                    );
+                    assert_eq!(rng_shard, rng_seq, "n={n} workers={workers} round {round}");
+                }
+                let summary = probe.summary().expect("live probe");
+                let c = summary.counters;
+                assert_eq!(summary.sharded_rounds, 4, "n={n} workers={workers}");
+                assert_eq!(
+                    (c.rounds_churn, c.rounds_reanchor, c.rounds_steady),
+                    (2, 1, 1),
+                    "n={n} workers={workers}: every mode must run"
+                );
+            }
+        }
     }
 
     /// Deliveries are reported in sender order, deterministically.

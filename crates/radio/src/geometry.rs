@@ -153,6 +153,17 @@ impl fmt::Display for Rect {
     }
 }
 
+/// Marks a vacated entry of the grid's cell order.
+const VACANT: u32 = u32::MAX;
+
+/// One point of a [`SpatialGrid`] in cell order: its position and
+/// index, stored together.
+#[derive(Clone, Copy, Debug)]
+struct Entry {
+    pos: Point,
+    idx: u32,
+}
+
 /// A uniform-grid spatial index over a set of points, queried for "all
 /// points within `radius` of here".
 ///
@@ -161,7 +172,13 @@ impl fmt::Display for Rect {
 /// interference radius touches at most a 3×3 block of cells, turning
 /// the naive all-pairs scan into a near-linear sweep.
 ///
-/// Internally a bucket per cell (each bucket sorted by point index).
+/// Internally a flat cell list in compressed-sparse-row form: every
+/// point's index and position are stored together in cell order, and
+/// `cell_start[c]..cell_start[c + 1]` is cell `c`'s range. A stable
+/// counting sort fills the arrays (each cell then lists its points in
+/// ascending index order). The cells of one grid row are adjacent, so
+/// a query scans one contiguous range per cell row.
+///
 /// The grid supports two maintenance regimes:
 ///
 /// * [`SpatialGrid::rebuild`] reindexes a whole point set, recomputing
@@ -170,11 +187,16 @@ impl fmt::Display for Rect {
 ///   once capacities have grown to the working-set size.
 /// * [`SpatialGrid::move_point`] / [`SpatialGrid::insert`] /
 ///   [`SpatialGrid::remove`] update the index incrementally under the
-///   geometry *anchored* by the last rebuild. Points that drift outside
-///   the anchored bounding box are clamped into edge cells — queries
-///   stay **correct** (every candidate is distance-filtered), only the
-///   edge buckets grow; callers can consult [`SpatialGrid::covers`]
-///   and trigger a rebuild when drift degrades the anchor.
+///   geometry *anchored* by the last rebuild. A move that stays in its
+///   cell updates the entry in place; a cross-cell move or an insert
+///   parks the point on a pending list that queries scan linearly,
+///   until [`SpatialGrid::settle`] merges the list back into the cell
+///   order in one streaming pass (callers settle once per batch of
+///   updates). Points that drift outside the anchored bounding box are
+///   clamped into edge cells — queries stay **correct** (every
+///   candidate is distance-filtered), only the edge cells grow;
+///   callers can consult [`SpatialGrid::covers`] and trigger a rebuild
+///   when drift degrades the anchor.
 ///
 /// Queries return indices in **ascending index order** regardless of
 /// maintenance history, so an incrementally-updated grid is
@@ -193,10 +215,27 @@ pub struct SpatialGrid {
     anchor_max: Point,
     cols: usize,
     rows: usize,
-    /// Point indices bucketed by cell, each bucket sorted ascending.
-    cells: Vec<Vec<u32>>,
-    /// Copy of the indexed positions (for distance filtering).
+    /// Position of every point, by point index.
     positions: Vec<Point>,
+    /// `cell_start[c]..cell_start[c + 1]` is cell `c`'s range of
+    /// `entries` (one more offset than cells).
+    cell_start: Vec<u32>,
+    /// Every point in cell order. A vacated entry has index `VACANT`
+    /// and NaN coordinates, which no distance test accepts.
+    entries: Vec<Entry>,
+    /// Points inserted or moved across a cell boundary since the cell
+    /// order was last built; queries scan them linearly. A point is
+    /// pending exactly when its cell holds no entry for it.
+    pending: Vec<u32>,
+    /// Positions of the entries vacated since the cell order was last
+    /// built.
+    vacated: Vec<u32>,
+    /// Scratch: a settle's edits to the cell order, as `(old
+    /// position, cell or VACANT, point index)`.
+    edits: Vec<(u32, u32, u32)>,
+    /// Scratch: the next cell order while a settle writes it; during a
+    /// rebuild, each point with its cell in place of its index.
+    spare: Vec<Entry>,
 }
 
 impl SpatialGrid {
@@ -240,33 +279,6 @@ impl SpatialGrid {
         self.positions[idx as usize]
     }
 
-    /// Number of bucket rows in the anchored geometry (0 while the
-    /// grid is empty). The tile-sharded resolver partitions receivers
-    /// into contiguous bands of these rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of bucket columns in the anchored geometry (0 while the
-    /// grid is empty).
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// The bucket row `p` falls into under the anchored geometry,
-    /// clamped into `0..rows` exactly like the internal cell
-    /// computation — points outside the anchored bounding box land in
-    /// the nearest edge row, so the answer is a pure function of `p`
-    /// and the anchor (any two calls agree, which is what makes row
-    /// bands a sound tile partition for the sharded resolver).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the grid is empty (`rows() == 0`).
-    pub fn row_of(&self, p: Point) -> usize {
-        (((p.y - self.origin.y) / self.effective_cell) as usize).min(self.rows - 1)
-    }
-
     /// `true` if `p` lies inside the bounding box the geometry was
     /// anchored to at the last rebuild. Points outside are still
     /// indexed correctly (clamped into edge cells); this is purely a
@@ -287,11 +299,16 @@ impl SpatialGrid {
         self.reindex();
     }
 
-    /// Recomputes geometry and buckets from `self.positions`.
+    /// Recomputes the anchored geometry from `self.positions`, then
+    /// sorts every point into it.
     fn reindex(&mut self) {
+        self.pending.clear();
+        self.vacated.clear();
         if self.positions.is_empty() {
             self.cols = 0;
             self.rows = 0;
+            self.cell_start.clear();
+            self.entries.clear();
             return;
         }
 
@@ -315,7 +332,7 @@ impl SpatialGrid {
         let mut effective_cell = self.cell.max(span_x / max_axis).max(span_y / max_axis);
         // Rebuild cost is O(cells), so also cap the cell count relative
         // to the population: a few far-flung points must not make every
-        // round re-clear a huge, almost-empty grid.
+        // round sweep a huge, almost-empty grid.
         let cell_budget = (16 * self.positions.len().max(16)) as f64;
         let cells_at = |cell: f64| ((span_x / cell) + 1.0) * ((span_y / cell) + 1.0);
         if cells_at(effective_cell) > cell_budget {
@@ -324,36 +341,126 @@ impl SpatialGrid {
         self.cols = (span_x / effective_cell) as usize + 1;
         self.rows = (span_y / effective_cell) as usize + 1;
         self.effective_cell = effective_cell;
-        let cells = self.cols * self.rows;
 
-        if self.cells.len() < cells {
-            self.cells.resize_with(cells, Vec::new);
+        // Stable counting sort. Counts land at `c + 2`, so after the
+        // prefix sum `cell_start[c + 1]` is cell `c`'s first entry —
+        // the scatter cursor, which ends at cell `c + 1`'s first entry.
+        let cell_of = self.cell_map();
+        let cells = self.cols * self.rows;
+        let starts = &mut self.cell_start;
+        starts.clear();
+        starts.resize(cells + 2, 0);
+        self.spare.clear();
+        self.spare.extend(self.positions.iter().map(|&pos| {
+            let c = cell_of(pos);
+            starts[c + 2] += 1;
+            Entry { pos, idx: c as u32 }
+        }));
+        let mut sum = 0;
+        for start in starts.iter_mut() {
+            sum += *start;
+            *start = sum;
         }
-        // Clear the whole active range (stale buckets from an earlier,
-        // larger geometry must never leak into queries).
-        for bucket in &mut self.cells[..cells] {
-            bucket.clear();
+        let n = self.positions.len();
+        self.entries.resize(
+            n,
+            Entry {
+                pos: Point::ORIGIN,
+                idx: VACANT,
+            },
+        );
+        for (i, &Entry { pos, idx: c }) in self.spare.iter().enumerate() {
+            let cursor = &mut starts[c as usize + 1];
+            let at = *cursor as usize;
+            *cursor += 1;
+            self.entries[at] = Entry { pos, idx: i as u32 };
         }
-        for i in 0..self.positions.len() {
-            let c = self.cell_of(self.positions[i], effective_cell);
-            // Indices arrive ascending, so pushing keeps buckets sorted.
-            self.cells[c].push(i as u32);
-        }
+        starts.truncate(cells + 1);
     }
 
-    /// Moves point `idx` to `to`, updating only the affected buckets.
+    /// Merges the pending points back into the cell order under the
+    /// unchanged anchor and drops the vacated entries (a no-op when
+    /// there are none): the runs between edits are block-copied, and
+    /// each cell's offset moves by the edits before it. Queries are
+    /// correct either way; settling keeps them from scanning a growing
+    /// pending list.
+    pub fn settle(&mut self) {
+        if self.pending.is_empty() && self.vacated.is_empty() {
+            return;
+        }
+        let cell_of = self.cell_map();
+        let cells = self.cols * self.rows;
+        // A pending point lands at the end of its cell; at one old
+        // position, inserts (in cell order) precede the vacated entry.
+        self.edits.clear();
+        for &i in &self.pending {
+            let c = cell_of(self.positions[i as usize]);
+            self.edits.push((self.cell_start[c + 1], c as u32, i));
+        }
+        for &k in &self.vacated {
+            self.edits.push((k, VACANT, VACANT));
+        }
+        self.edits.sort_unstable();
+
+        self.spare.clear();
+        let mut from = 0;
+        for &(at, cell, i) in &self.edits {
+            let at = at as usize;
+            self.spare.extend_from_slice(&self.entries[from..at]);
+            if cell == VACANT {
+                from = at + 1;
+            } else {
+                self.spare.push(Entry {
+                    pos: self.positions[i as usize],
+                    idx: i,
+                });
+                from = at;
+            }
+        }
+        self.spare.extend_from_slice(&self.entries[from..]);
+        std::mem::swap(&mut self.entries, &mut self.spare);
+
+        // Cell `c` now starts later by the inserts into cells before
+        // it, and earlier by the vacated entries before its old start.
+        let mut edits = self.edits.iter().peekable();
+        let mut shift = 0i64;
+        for (c, start) in self.cell_start[..=cells].iter_mut().enumerate() {
+            let old = *start;
+            while let Some(&(_, cell, _)) = edits.next_if(|&&(at, cell, _)| {
+                if cell == VACANT {
+                    at < old
+                } else {
+                    (cell as usize) < c
+                }
+            }) {
+                shift += if cell == VACANT { -1 } else { 1 };
+            }
+            *start = (i64::from(old) + shift) as u32;
+        }
+        self.pending.clear();
+        self.vacated.clear();
+    }
+
+    /// Moves point `idx` to `to`: in place if it stays in its cell,
+    /// otherwise onto the pending list until the next
+    /// [`SpatialGrid::settle`].
     ///
     /// # Panics
     ///
     /// Panics if `idx` is out of range.
     pub fn move_point(&mut self, idx: u32, to: Point) {
-        let from = self.positions[idx as usize];
-        self.positions[idx as usize] = to;
-        let cf = self.cell_of(from, self.effective_cell);
-        let ct = self.cell_of(to, self.effective_cell);
-        if cf != ct {
-            Self::bucket_remove(&mut self.cells[cf], idx);
-            Self::bucket_insert(&mut self.cells[ct], idx);
+        let from = std::mem::replace(&mut self.positions[idx as usize], to);
+        let cell_of = self.cell_map();
+        let (cf, ct) = (cell_of(from), cell_of(to));
+        // No entry means the point is pending already, and queries read
+        // pending points from `positions`.
+        if let Some(k) = self.entry_in(cf, idx) {
+            if cf == ct {
+                self.entries[k].pos = to;
+            } else {
+                self.vacate(k);
+                self.pending.push(idx);
+            }
         }
     }
 
@@ -366,10 +473,7 @@ impl SpatialGrid {
         if self.cols == 0 {
             self.reindex();
         } else {
-            let c = self.cell_of(p, self.effective_cell);
-            // `idx` is the largest index, so a push keeps the bucket
-            // sorted.
-            self.cells[c].push(idx);
+            self.pending.push(idx);
         }
         idx
     }
@@ -383,34 +487,62 @@ impl SpatialGrid {
     /// Panics if `idx` is out of range.
     pub fn remove(&mut self, idx: u32) {
         let last = (self.positions.len() - 1) as u32;
-        let c = self.cell_of(self.positions[idx as usize], self.effective_cell);
-        Self::bucket_remove(&mut self.cells[c], idx);
+        let cell_of = self.cell_map();
+        match self.entry_in(cell_of(self.positions[idx as usize]), idx) {
+            Some(k) => self.vacate(k),
+            None => {
+                let at = self.pending_slot(idx);
+                self.pending.swap_remove(at);
+            }
+        }
         if idx != last {
-            let cl = self.cell_of(self.positions[last as usize], self.effective_cell);
-            Self::bucket_remove(&mut self.cells[cl], last);
-            Self::bucket_insert(&mut self.cells[cl], idx);
+            match self.entry_in(cell_of(self.positions[last as usize]), last) {
+                Some(k) => self.entries[k].idx = idx,
+                None => {
+                    let at = self.pending_slot(last);
+                    self.pending[at] = idx;
+                }
+            }
         }
         self.positions.swap_remove(idx as usize);
     }
 
-    fn bucket_remove(bucket: &mut Vec<u32>, idx: u32) {
-        let at = bucket
-            .binary_search(&idx)
-            .expect("grid bucket must contain the point");
-        bucket.remove(at);
+    /// Where point `idx`'s entry sits in cell `c`, if it has one there.
+    fn entry_in(&self, c: usize, idx: u32) -> Option<usize> {
+        let start = self.cell_start[c] as usize;
+        self.entries[start..self.cell_start[c + 1] as usize]
+            .iter()
+            .position(|e| e.idx == idx)
+            .map(|k| start + k)
     }
 
-    fn bucket_insert(bucket: &mut Vec<u32>, idx: u32) {
-        let at = bucket
-            .binary_search(&idx)
-            .expect_err("grid bucket already contains the point");
-        bucket.insert(at, idx);
+    /// Where `idx` sits on the pending list.
+    fn pending_slot(&self, idx: u32) -> usize {
+        self.pending
+            .iter()
+            .position(|&p| p == idx)
+            .expect("a point without an entry must be pending")
     }
 
-    fn cell_of(&self, p: Point, cell: f64) -> usize {
-        let cx = (((p.x - self.origin.x) / cell) as usize).min(self.cols - 1);
-        let cy = (((p.y - self.origin.y) / cell) as usize).min(self.rows - 1);
-        cy * self.cols + cx
+    /// Empties one cell-ordered entry; queries and settles skip it.
+    fn vacate(&mut self, k: usize) {
+        self.entries[k] = Entry {
+            pos: Point::new(f64::NAN, f64::NAN),
+            idx: VACANT,
+        };
+        self.vacated.push(k as u32);
+    }
+
+    /// The anchored geometry's cell function, detached from `self` so
+    /// that loops filling the grid's arrays can call it. Coordinates
+    /// are clamped into the grid (`as usize` saturates negatives to 0).
+    fn cell_map(&self) -> impl Fn(Point) -> usize {
+        let (origin, cell, cols, rows) = (self.origin, self.effective_cell, self.cols, self.rows);
+        move |p| {
+            let cx = (((p.x - origin.x) / cell) as usize).min(cols - 1);
+            let cy = (((p.y - origin.y) / cell) as usize).min(rows - 1);
+            cy * cols + cx
+        }
     }
 
     /// Appends to `out` the index of every point within `radius` of
@@ -431,29 +563,48 @@ impl SpatialGrid {
         out[base..].sort_unstable_by_key(|&(idx, _)| idx);
     }
 
-    /// Visits every in-radius point as `(index, squared distance)`, in
-    /// cell order.
+    /// The lowest index within `radius` of `center` (inclusive), if
+    /// any — the first hit [`SpatialGrid::query_within`] would report,
+    /// without an output buffer.
+    pub fn first_within(&self, center: Point, radius: f64) -> Option<u32> {
+        let mut first: Option<u32> = None;
+        self.for_each_candidate(center, radius, |idx, _| {
+            first = Some(first.map_or(idx, |f| f.min(idx)));
+        });
+        first
+    }
+
+    /// Visits every in-radius point as `(index, squared distance)`:
+    /// one contiguous cell-ordered range per cell row, then the
+    /// pending list.
     fn for_each_candidate(&self, center: Point, radius: f64, mut visit: impl FnMut(u32, f64)) {
         if self.positions.is_empty() {
             return;
         }
         let r_sq = radius * radius;
         let cell = self.effective_cell;
-        let lo_x = ((center.x - radius - self.origin.x) / cell).floor();
-        let hi_x = ((center.x + radius - self.origin.x) / cell).floor();
-        let lo_y = ((center.y - radius - self.origin.y) / cell).floor();
-        let hi_y = ((center.y + radius - self.origin.y) / cell).floor();
-        let clamp = |v: f64, hi: usize| (v.max(0.0) as usize).min(hi - 1);
-        let (cx0, cx1) = (clamp(lo_x, self.cols), clamp(hi_x, self.cols));
-        let (cy0, cy1) = (clamp(lo_y, self.rows), clamp(hi_y, self.rows));
+        // `as usize` truncates towards zero and saturates negatives
+        // (and NaN) to 0, which is exactly floor-then-clamp here.
+        let clamp = |v: f64, hi: usize| ((v / cell) as usize).min(hi - 1);
+        let cx0 = clamp(center.x - radius - self.origin.x, self.cols);
+        let cx1 = clamp(center.x + radius - self.origin.x, self.cols);
+        let cy0 = clamp(center.y - radius - self.origin.y, self.rows);
+        let cy1 = clamp(center.y + radius - self.origin.y, self.rows);
         for cy in cy0..=cy1 {
-            for cx in cx0..=cx1 {
-                for &idx in &self.cells[cy * self.cols + cx] {
-                    let d2 = self.positions[idx as usize].distance_sq(center);
-                    if d2 <= r_sq {
-                        visit(idx, d2);
-                    }
+            let row = cy * self.cols;
+            let range =
+                self.cell_start[row + cx0] as usize..self.cell_start[row + cx1 + 1] as usize;
+            for e in &self.entries[range] {
+                let d2 = e.pos.distance_sq(center);
+                if d2 <= r_sq {
+                    visit(e.idx, d2);
                 }
+            }
+        }
+        for &idx in &self.pending {
+            let d2 = self.positions[idx as usize].distance_sq(center);
+            if d2 <= r_sq {
+                visit(idx, d2);
             }
         }
     }
@@ -562,6 +713,131 @@ mod tests {
                     naive_within(&points, center, radius),
                     "query {qi} radius {radius}"
                 );
+            }
+        }
+    }
+
+    /// Asserts every query form agrees with the brute-force oracle.
+    fn assert_matches_naive(grid: &SpatialGrid, points: &[Point], center: Point, radius: f64) {
+        let want = naive_within(points, center, radius);
+        let mut got = Vec::new();
+        grid.query_within(center, radius, &mut got);
+        assert_eq!(got, want, "query at {center} radius {radius}");
+        let mut got_d2 = Vec::new();
+        grid.query_within_d2(center, radius, &mut got_d2);
+        let want_d2: Vec<(u32, f64)> = want
+            .iter()
+            .map(|&i| (i, points[i as usize].distance_sq(center)))
+            .collect();
+        assert_eq!(got_d2, want_d2, "d2 query at {center} radius {radius}");
+        assert_eq!(grid.first_within(center, radius), want.first().copied());
+    }
+
+    #[test]
+    fn grid_edge_cases_match_brute_force() {
+        let cell = 10.0;
+        // Points exactly on cell edges, the anchor's far corner
+        // included.
+        let on_edges: Vec<Point> = (0..36)
+            .map(|k| Point::new((k % 6) as f64 * cell, (k / 6) as f64 * cell))
+            .collect();
+        // Every point in one cell.
+        let one_cell: Vec<Point> = (0..20)
+            .map(|k| Point::new(3.0 + (k % 5) as f64 * 0.5, 4.0 + (k / 5) as f64 * 0.5))
+            .collect();
+        // One far-flung point: the spread would need millions of cells
+        // per axis, so the cell size is coarsened.
+        let mut far_flung = one_cell.clone();
+        far_flung.push(Point::new(1.0e7, -3.0e6));
+        for points in [on_edges, one_cell, far_flung] {
+            let mut grid = SpatialGrid::new(cell);
+            grid.rebuild(&points);
+            assert!(grid.cols <= SpatialGrid::MAX_CELLS_PER_AXIS);
+            assert!(grid.rows <= SpatialGrid::MAX_CELLS_PER_AXIS);
+            // The cell budget (16 cells per point) holds up to the
+            // rounding of each axis to whole cells.
+            assert!(grid.cols * grid.rows <= 2 * 16 * points.len().max(16));
+            let mut centers = points.clone();
+            centers.extend([
+                Point::new(-5.0, -5.0),
+                Point::new(25.0, 5.0),
+                Point::new(5.0e6, 0.0),
+            ]);
+            for &center in &centers {
+                for radius in [0.0, 0.5, cell, 1.5 * cell, 60.0, 2.0e7] {
+                    assert_matches_naive(&grid, &points, center, radius);
+                }
+            }
+        }
+        // A coarsened grid stays exact through a cross-cell move, both
+        // while the point is pending and once settled.
+        let mut points: Vec<Point> = (0..20).map(|k| Point::new(k as f64, 0.0)).collect();
+        points.push(Point::new(1.0e7, 1.0e7));
+        let mut grid = SpatialGrid::new(cell);
+        grid.rebuild(&points);
+        assert!(grid.effective_cell > cell, "far point coarsens the grid");
+        points[3] = Point::new(5.0e6, 5.0e6);
+        grid.move_point(3, points[3]);
+        for settled in [false, true] {
+            if settled {
+                grid.settle();
+            }
+            for &center in &points {
+                assert_matches_naive(&grid, &points, center, cell);
+            }
+        }
+    }
+
+    /// Random interleavings of moves (within and across cells),
+    /// inserts, swap-removes and settles keep every query exact, with
+    /// the pending list full or empty.
+    #[test]
+    fn grid_maintenance_with_settles_matches_brute_force() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let point = |next: &mut dyn FnMut() -> u64| {
+            Point::new(
+                (next() % 6000) as f64 / 100.0,
+                (next() % 6000) as f64 / 100.0,
+            )
+        };
+        let mut points: Vec<Point> = (0..40).map(|_| point(&mut next)).collect();
+        let mut grid = SpatialGrid::new(7.0);
+        grid.rebuild(&points);
+        for step in 0..600 {
+            match next() % 8 {
+                0 => {
+                    let p = point(&mut next);
+                    assert_eq!(grid.insert(p) as usize, points.len());
+                    points.push(p);
+                }
+                1 if points.len() > 1 => {
+                    let i = (next() % points.len() as u64) as usize;
+                    grid.remove(i as u32);
+                    points.swap_remove(i);
+                }
+                2 => grid.settle(),
+                3 => {
+                    // A nudge that mostly stays within its cell.
+                    let i = (next() % points.len() as u64) as usize;
+                    points[i].x += 0.25;
+                    grid.move_point(i as u32, points[i]);
+                }
+                _ => {
+                    let i = (next() % points.len() as u64) as usize;
+                    points[i] = point(&mut next);
+                    grid.move_point(i as u32, points[i]);
+                }
+            }
+            assert_eq!(grid.len(), points.len(), "step {step}");
+            let center = points[(next() % points.len() as u64) as usize];
+            for radius in [0.0, 3.5, 7.0, 20.0] {
+                assert_matches_naive(&grid, &points, center, radius);
             }
         }
     }

@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 use vi_audit::{audit, audit_register_ops, AuditReport, HistoryRecorder};
 use vi_baselines::{collect_register_ops, MajRegMessage, MajorityRegister};
 use vi_core::cha::{ChaMessage, ChaNode, ChaSpecChecker, TaggedProposer};
-use vi_core::vi::{CounterAutomaton, VnId, World, WorldConfig};
+use vi_core::vi::{CounterAutomaton, World, WorldConfig};
 use vi_radio::trace::ChannelStats;
 use vi_radio::{Engine, EngineConfig, NodeId, NodeSpec, ScriptedAdversary};
 use vi_telemetry::{
@@ -535,7 +535,6 @@ impl ScenarioSpec {
         monitor: &Monitor,
     ) -> ScenarioOutcome {
         let layout = layout.build();
-        let vns = layout.len();
         let mut world = World::new(WorldConfig {
             radio: self.radio,
             layout,
@@ -582,18 +581,9 @@ impl ScenarioSpec {
         world.run_virtual_rounds(virtual_rounds);
 
         let t_check = probe.timer();
-        let mut decided = 0u64;
-        let mut bottom = 0u64;
-        let mut joins = 0u64;
-        let mut resets = 0u64;
-        for vn in 0..vns {
-            let (_, report) = world.vn_report(VnId(vn));
-            decided += report.decided;
-            bottom += report.bottom;
-            joins += report.joins;
-            resets += report.resets;
-        }
-        let decided_fraction = decided as f64 / (decided + bottom).max(1) as f64;
+        let totals = world.report_totals();
+        let decided_fraction =
+            totals.decided as f64 / (totals.decided + totals.bottom).max(1) as f64;
         let stats = *world.stats();
         let checker = ChaSpecChecker::<u64>::new();
         let mut out = self.outcome(
@@ -603,8 +593,8 @@ impl ScenarioSpec {
             0,
             &checker,
             decided_fraction,
-            joins,
-            resets,
+            totals.joins,
+            totals.resets,
             None,
         );
         probe.phase_since(Phase::Checker, t_check);

@@ -445,15 +445,13 @@ where
     }
 
     fn totals(&self) -> WorldTotals {
-        let mut t = WorldTotals::default();
-        for vn in 0..self.world.deployment().layout.len() {
-            let (_, r) = self.world.vn_report(VnId(vn));
-            t.decided += r.decided;
-            t.bottom += r.bottom;
-            t.joins += r.joins;
-            t.resets += r.resets;
+        let r = self.world.report_totals();
+        WorldTotals {
+            decided: r.decided,
+            bottom: r.bottom,
+            joins: r.joins,
+            resets: r.resets,
         }
-        t
     }
 }
 
